@@ -208,10 +208,7 @@ def cmd_fit_de(args) -> int:
     cfg = DEConfig(population=args.population, generations=args.generations,
                    seed=args.seed)
     reference = _reference_from_manifest(args.data)
-    try:
-        result = fit_de(dataset, spec, cfg, reference=reference)
-    except SolverError as err:
-        raise SystemExit(f"error: {err}") from None
+    result = fit_de(dataset, spec, cfg, reference=reference)
     result.write_csv(out / "de_result.csv")
 
     sys_c, drug_c = spec.base_sys, spec.base_drug
@@ -219,8 +216,11 @@ def cmd_fit_de(args) -> int:
     sys_c, drug_c = substitute(sys_c, drug_c,
                                dict(zip(result.names, result.values)))
     A = assemble_matrix(sys_c, drug_c, ModelVariant.PAPER_LITERAL)
-    pred = expm_propagate(A, np.zeros(4), dataset.plasma_profile(), sys_c,
-                          dataset.times)
+    try:
+        pred = expm_propagate(A, np.zeros(4), dataset.plasma_profile(), sys_c,
+                              dataset.times)
+    except SolverError as err:
+        raise SystemExit(f"error: {err}") from None
     write_series(pred, out / "prediction.csv")
     _write_summary(out, "DE", result.names, list(result.values),
                    result.abs_errors, result.objective, result.wall_seconds,
@@ -229,7 +229,9 @@ def cmd_fit_de(args) -> int:
         extra = f" (abs error {err:.3e})" if err is not None else ""
         print(f"{name}: {value:.9g}{extra}")
     print(f"objective: {result.objective:.6e}, generations: "
-          f"{result.generations}, {result.wall_seconds:.1f}s")
+          f"{result.generations} (stopped on {result.stop_reason}), "
+          f"inf candidates: {result.inf_candidates}, "
+          f"{result.wall_seconds:.1f}s")
     return 0
 
 

@@ -3,8 +3,13 @@
 Classic rand/1/bin: mutant v = a + F*(b - c) over three distinct random
 members, binomial crossover with a guaranteed mutated coordinate, greedy
 selection. Out-of-bounds coordinates are reflected back into the box.
-Each candidate is scored by forward-solving the brain model on the
-dataset's time grid and summing squared residuals over all compartments.
+
+The objective scores a whole population at once, ``(P, d) -> (P,)``: each
+candidate is validated and turned into its rate matrix on its own, then
+all of them are forward-solved together on the dataset's time grid by one
+batched exact propagation, and each scores the sum of squared residuals
+over all compartments. A candidate that fails validation or whose solve
+is not finite scores +inf without affecting the others.
 """
 from __future__ import annotations
 
@@ -17,8 +22,7 @@ import numpy as np
 from .dataio import ConcentrationSeries
 from .model import assemble_matrix
 from .params import ModelVariant, reference_value, substitute
-from .solvers import (Method, SolveConfig, SolverError, expm_propagate,
-                      solve, InitialState)
+from .solvers import propagate_states
 from .training import EstimationSpec
 
 
@@ -49,6 +53,8 @@ class EstimationResult:
     objective: float
     wall_seconds: float
     generations: int = 0
+    stop_reason: str = "budget"     # "stagnation" or "budget"
+    inf_candidates: int = 0         # rows scored +inf over the run
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -64,28 +70,46 @@ class EstimationResult:
                     f"{self.wall_seconds:.3f}" if i == 0 else ""])
 
 
+def population_sse(population, spec: EstimationSpec,
+                   dataset: ConcentrationSeries, plasma=None,
+                   variant: ModelVariant = ModelVariant.PAPER_LITERAL) -> np.ndarray:
+    """Sum of squared residuals over all compartments and time points for
+    each row of a ``(P, d)`` population of free-parameter vectors; rows
+    that fail validation or solve to non-finite states score +inf."""
+    if plasma is None:
+        plasma = dataset.plasma_profile()
+    population = np.asarray(population, dtype=float)
+    sse = np.full(len(population), np.inf)
+    rows, mats, scales = [], [], []
+    for i, x in enumerate(population):
+        try:
+            sys_c, drug_c = substitute(spec.base_sys, spec.base_drug,
+                                       dict(zip(spec.names, x)))
+            mats.append(assemble_matrix(sys_c, drug_c, variant))
+            scales.append(sys_c.Qbrain / sys_c.Vbb)
+        except (ValueError, OverflowError):
+            continue
+        rows.append(i)
+    A, b = np.array(mats).reshape(-1, 4, 4), np.array(scales)
+    finite = np.all(np.isfinite(A), axis=(1, 2)) & np.isfinite(b)
+    rows = np.array(rows, dtype=int)[finite]
+    if rows.size:
+        pred = propagate_states(A[finite], b[finite], np.zeros(4), plasma,
+                                dataset.times)
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = pred - dataset.concentrations()
+            scores = np.sum(resid * resid, axis=(1, 2))
+        sse[rows] = np.where(np.isfinite(scores), scores, np.inf)
+    return sse
+
+
 def sse_objective(free_values, spec: EstimationSpec,
                   dataset: ConcentrationSeries,
                   plasma=None,
-                  variant: ModelVariant = ModelVariant.PAPER_LITERAL,
-                  solver_cfg: SolveConfig | None = None) -> float:
-    """Sum of squared residuals over all compartments and time points for a
-    candidate free-parameter vector. Solver failures score +inf."""
-    if plasma is None:
-        plasma = dataset.plasma_profile()
-    values = dict(zip(spec.names, np.asarray(free_values, dtype=float)))
-    try:
-        sys_c, drug_c = substitute(spec.base_sys, spec.base_drug, values)
-        if solver_cfg is None or solver_cfg.method is Method.EXPM_ORACLE:
-            A = assemble_matrix(sys_c, drug_c, variant)
-            pred = expm_propagate(A, np.zeros(4), plasma, sys_c, dataset.times)
-        else:
-            pred = solve(sys_c, drug_c, plasma, variant, InitialState(),
-                         solver_cfg)
-    except (SolverError, ValueError, OverflowError):
-        return float("inf")
-    resid = pred.concentrations() - dataset.concentrations()
-    return float(np.sum(resid * resid))
+                  variant: ModelVariant = ModelVariant.PAPER_LITERAL) -> float:
+    """``population_sse`` for a single candidate free-parameter vector."""
+    return float(population_sse([free_values], spec, dataset, plasma,
+                                variant)[0])
 
 
 def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -96,9 +120,19 @@ def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo + y
 
 
+def _score(objective, population: np.ndarray) -> np.ndarray:
+    fitness = np.asarray(objective(population), dtype=float)
+    if fitness.shape != (len(population),):
+        raise ValueError(f"objective must map a ({len(population)}, d) "
+                         f"population to shape ({len(population)},), "
+                         f"got {fitness.shape}")
+    return fitness
+
+
 def differential_evolution(objective, bounds, cfg: DEConfig = DEConfig()):
     """rand/1/bin DE over a box; returns (best point, best value,
-    generations used). Deterministic under seed; best objective is
+    generations used). ``objective`` scores a whole population, mapping
+    ``(P, d)`` to ``(P,)``. Deterministic under seed; best objective is
     non-increasing across generations."""
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
@@ -109,7 +143,7 @@ def differential_evolution(objective, bounds, cfg: DEConfig = DEConfig()):
     rng = np.random.default_rng(cfg.seed)
 
     pop = lo + rng.uniform(size=(npop, dim)) * (hi - lo)
-    fitness = np.array([objective(x) for x in pop])
+    fitness = _score(objective, pop)
     best_idx = int(np.argmin(fitness))
     best_x, best_f = pop[best_idx].copy(), float(fitness[best_idx])
 
@@ -125,7 +159,7 @@ def differential_evolution(objective, bounds, cfg: DEConfig = DEConfig()):
             cross = rng.uniform(size=dim) < cfg.crossover
             cross[rng.integers(dim)] = True
             trials[i] = np.where(cross, mutant, pop[i])
-        trial_fitness = np.array([objective(x) for x in trials])
+        trial_fitness = _score(objective, trials)
         improved = trial_fitness <= fitness
         pop[improved] = trials[improved]
         fitness[improved] = trial_fitness[improved]
@@ -142,16 +176,19 @@ def differential_evolution(objective, bounds, cfg: DEConfig = DEConfig()):
 def fit_de(dataset: ConcentrationSeries, spec: EstimationSpec,
            cfg: DEConfig = DEConfig(),
            variant: ModelVariant = ModelVariant.PAPER_LITERAL,
-           solver_cfg: SolveConfig | None = None,
            reference: dict | None = None) -> EstimationResult:
     """DE fit of the free parameters; absolute errors are reported against
     the built-in reference values (or an explicit reference mapping)."""
     t0 = time.perf_counter()
     plasma = dataset.plasma_profile()
     bounds = [(p.lo, p.hi) for p in spec.free]
+    inf_candidates = 0
 
-    def objective(x):
-        return sse_objective(x, spec, dataset, plasma, variant, solver_cfg)
+    def objective(population):
+        nonlocal inf_candidates
+        sse = population_sse(population, spec, dataset, plasma, variant)
+        inf_candidates += int(np.count_nonzero(np.isinf(sse)))
+        return sse
 
     best_x, best_f, gens = differential_evolution(objective, bounds, cfg)
 
@@ -165,4 +202,7 @@ def fit_de(dataset: ConcentrationSeries, spec: EstimationSpec,
     return EstimationResult(names=spec.names, values=best_x,
                             abs_errors=errors, objective=best_f,
                             wall_seconds=time.perf_counter() - t0,
-                            generations=gens)
+                            generations=gens,
+                            stop_reason=("stagnation" if gens < cfg.generations
+                                         else "budget"),
+                            inf_candidates=inf_candidates)

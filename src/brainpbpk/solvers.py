@@ -2,8 +2,13 @@
 
 Three routes: classic fixed-step RK4, adaptive Dormand-Prince 5(4), and an
 exact matrix-exponential propagator that exploits the linearity of the
-system with piecewise-linear forcing (used as the ground-truth oracle and
-for fast repeated solves inside the DE objective).
+system with piecewise-linear forcing (used as the ground-truth oracle).
+
+The exact propagator works on a stack of rate matrices at once
+(``propagate_states``), so the DE objective scores a whole population in
+one solve. It computes the transition operators once per distinct step
+length with one batched ``expm`` call, then runs a single array recurrence
+over the breakpoints; ``expm_propagate`` is its one-matrix form.
 """
 from __future__ import annotations
 
@@ -175,61 +180,89 @@ def solve(sys: SystemParams, drug: DrugParams, plasma: PlasmaProfile,
     return _series_from(grid, states, plasma)
 
 
-def _transition_ops(A: np.ndarray, dt: float):
-    """State transition Phi plus first-component forcing responses.
+def _transition_ops(A: np.ndarray, b: np.ndarray, dts: np.ndarray):
+    """State transitions Phi plus forcing responses Psi0, Psi1 per step length.
 
-    Over a step of length dt with forcing f(s) = c0 + c1*s entering
-    component 1, the exact update is  y+ = Phi y + c0*Psi0 + c1*Psi1.
-    Computed from one augmented 6x6 matrix exponential.
+    Over a step of length dt with plasma Cart(s) = c0 + c1*s, the forcing
+    b * Cart(s) enters component 1 and the exact update is
+    y+ = Phi y + c0*Psi0 + c1*Psi1. All three come from one augmented 6x6
+    matrix exponential whose constant-forcing column carries b, so every
+    matrix of the stack ``A (..., 4, 4)`` with scale ``b (...)`` gets its own
+    exponential. One batched ``expm`` call covers every matrix and every
+    step length; the step-length axis comes first in the results.
     """
-    M = np.zeros((6, 6))
-    M[:4, :4] = A
-    M[0, 4] = 1.0  # constant-forcing column (component 1)
-    M[4, 5] = 1.0  # d/ds of the ramp weight
-    E = expm(M * dt)
-    return E[:4, :4], E[:4, 4], E[:4, 5]
+    M = np.zeros(A.shape[:-2] + (dts.size, 6, 6))
+    M[..., :4, :4] = A[..., None, :, :]
+    M[..., 0, 4] = b[..., None]  # constant-forcing column (component 1)
+    M[..., 4, 5] = 1.0  # d/ds of the ramp weight
+    E = np.moveaxis(expm(M * dts[:, None, None]), -3, 0)
+    return (np.ascontiguousarray(E[..., :4, :4]), E[..., :4, 4:5],
+            E[..., :4, 5:6])
 
 
-def expm_propagate(A: np.ndarray, y0, plasma: PlasmaProfile, sys: SystemParams,
-                   grid, t0: float = 0.0) -> ConcentrationSeries:
-    """Exact propagation of Y' = A Y + (Qbrain/Vbb) Cart(t) e1 on the grid.
+def _propagate(A, b, y0, plasma: PlasmaProfile, grid: np.ndarray, t0: float):
+    """Breakpoints and the states at each of them, shape (n, ..., 4).
 
     Intervals are split at plasma knots so the forcing is affine on each
-    piece; transition operators are cached per step length, so uniform
-    grids cost a single 6x6 matrix exponential.
+    piece. Transition operators are computed once per distinct step length
+    (to 14 decimals), so a uniform grid costs a few 6x6 exponentials per
+    matrix, not one per step. Non-finite states are left in place for the
+    caller to judge.
     """
-    grid = np.asarray(grid, dtype=float)
-    scale = sys.Qbrain / sys.Vbb
-
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     knots = plasma.times[(plasma.times > t0) & (plasma.times < grid[-1])]
     breakpoints = np.unique(np.concatenate([[t0], grid, knots]))
     breakpoints = breakpoints[breakpoints >= t0 - 1e-15]
 
-    cache: dict[float, tuple] = {}
-    y = np.asarray(y0, dtype=float).copy()
-    out = {}
-    grid_set = {round(t, 12) for t in grid}
-    if round(breakpoints[0], 12) in grid_set:
-        out[round(breakpoints[0], 12)] = y.copy()
+    dts = np.diff(breakpoints)
+    _, first, step_op = np.unique(np.round(dts, 14), return_index=True,
+                                  return_inverse=True)
+    Phi, Psi0, Psi1 = _transition_ops(A, b, dts[first])
+    cart = np.interp(breakpoints, plasma.times, plasma.values)
+    c0, c1 = cart[:-1], np.diff(cart) / dts
+    per_step = (-1,) + (1,) * (Psi0.ndim - 1)
+    drive = c0.reshape(per_step) * Psi0[step_op]
+    drive += c1.reshape(per_step) * Psi1[step_op]
 
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        dt = b - a
-        fa = scale * linear_interp(plasma, a)
-        fb = scale * linear_interp(plasma, b)
-        c1 = (fb - fa) / dt
-        key = round(dt, 14)
-        if key not in cache:
-            cache[key] = _transition_ops(A, dt)
-        Phi, Psi0, Psi1 = cache[key]
-        y = Phi @ y + fa * Psi0 + c1 * Psi1
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteState(f"non-finite state at t={b:.6g}")
-        rb = round(b, 12)
-        if rb in grid_set:
-            out[rb] = y.copy()
+    states = np.empty((breakpoints.size,) + Psi0.shape[1:])
+    states[0] = np.asarray(y0, dtype=float)[:, None]
+    y = states[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, k in enumerate(step_op.tolist()):
+            y = Phi[k] @ y + drive[i]
+            states[i + 1] = y
+    return breakpoints, states[..., 0]
 
-    states = np.stack([out[round(t, 12)] for t in grid])
-    return _series_from(grid, states, plasma)
+
+def propagate_states(A, b, y0, plasma: PlasmaProfile, grid,
+                     t0: float = 0.0) -> np.ndarray:
+    """Exact propagation of Y' = A Y + b Cart(t) e1 for a stack of systems.
+
+    ``A`` is ``(..., 4, 4)`` and ``b`` the matching ``(...)`` forcing scales
+    (Qbrain/Vbb); every system starts from ``y0``. Returns the states on the
+    grid as ``(..., 4, len(grid))``, the layout of
+    ``ConcentrationSeries.concentrations``. A system that blows up yields
+    non-finite entries rather than an exception.
+    """
+    grid = np.asarray(grid, dtype=float)
+    breakpoints, states = _propagate(A, b, y0, plasma, grid, t0)
+    return np.moveaxis(states[np.searchsorted(breakpoints, grid)], 0, -1)
+
+
+def expm_propagate(A: np.ndarray, y0, plasma: PlasmaProfile, sys: SystemParams,
+                   grid, t0: float = 0.0) -> ConcentrationSeries:
+    """Exact propagation of Y' = A Y + (Qbrain/Vbb) Cart(t) e1 on the grid,
+    for one rate matrix; raises NonFiniteState at the first breakpoint
+    where the state is not finite."""
+    grid = np.asarray(grid, dtype=float)
+    breakpoints, states = _propagate(A, sys.Qbrain / sys.Vbb, y0, plasma,
+                                     grid, t0)
+    bad = ~np.all(np.isfinite(states), axis=1)
+    if bad.any():
+        raise NonFiniteState(
+            f"non-finite state at t={breakpoints[np.argmax(bad)]:.6g}")
+    return _series_from(grid, states[np.searchsorted(breakpoints, grid)],
+                        plasma)
 
 
 # --- synthetic datasets -----------------------------------------------------

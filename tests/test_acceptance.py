@@ -145,6 +145,7 @@ def test_criterion_3_de_recovery(dataset):
                   f"{errs['Vscsf']:.2e} (<=1e-5), {elapsed:.0f}s (<600s)")
 
 
+@pytest.mark.slow
 def test_criterion_4_estimation_recovery(training_run):
     _, spec, final_spec, artifacts, elapsed = training_run
     values = final_spec.constrained_values()
@@ -170,6 +171,7 @@ def test_criterion_4_estimation_recovery(training_run):
     report(4, ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_5_activation_ordering(dataset):
     start = time.perf_counter()
     finals = {}
@@ -188,6 +190,7 @@ def test_criterion_5_activation_ordering(dataset):
                   f"ratio {ratio:.1f} (>=100), {elapsed:.0f}s (<900s)")
 
 
+@pytest.mark.slow
 def test_criterion_6_loss_identity_and_bounds(training_run):
     _, spec, _, artifacts, _ = training_run
     worst_rel = 0.0
@@ -247,7 +250,7 @@ def test_criterion_7_property_bundle(tmp_path):
         pytest.approx(3.0 * whole, rel=1e-12)
 
     # DE monotone best objective: longer budget never worse, same seed
-    obj = lambda x: float(np.sum((x - 0.3) ** 2))
+    obj = lambda X: np.sum((X - 0.3) ** 2, axis=1)
     bounds = [(-1.0, 1.0)] * 2
     short = differential_evolution(obj, bounds,
                                    DEConfig(generations=10, seed=3,

@@ -10,8 +10,9 @@ from brainpbpk.model import assemble_matrix
 from brainpbpk.params import DrugParams, ModelVariant, SystemParams
 from brainpbpk.solvers import (InitialState, Method, NonFiniteState,
                                PlasmaSpec, SolveConfig, StepSizeUnderflow,
-                               dopri45_solve, expm_propagate, rk4_solve,
-                               solve, synthesize_dataset)
+                               dopri45_solve, expm_propagate,
+                               propagate_states, rk4_solve, solve,
+                               synthesize_dataset)
 
 SYS = SystemParams()
 DRUG = DrugParams()
@@ -111,6 +112,44 @@ class TestExpmPropagate:
         grid = np.linspace(0.0, 1.0, 5)
         series = expm_propagate(A, y0, constant_plasma(0.05), SYS, grid)
         assert np.array_equal(series.concentrations()[:, 0], y0)
+
+
+    def test_blow_up_raises_nonfinite_state(self):
+        # y' = 50 y overflows once 50 t passes log(max float) ~ 709.8
+        grid = np.linspace(0.0, 48.0, 49)
+        with pytest.raises(NonFiniteState, match=r"t=15\b"):
+            expm_propagate(50.0 * np.eye(4), np.ones(4), constant_plasma(0.0),
+                           SYS, grid)
+
+
+class TestPropagateStates:
+    def test_batched_rows_match_single_solves(self):
+        grid = np.linspace(0.0, 48.0, 60)
+        plasma = PlasmaSpec().sample(np.linspace(0.0, 48.0, 25))
+        systems = [SystemParams(Vbb=v) for v in (0.03, SYS.Vbb, 0.2)]
+        A = np.stack([assemble_matrix(s, DRUG) for s in systems])
+        b = np.array([s.Qbrain / s.Vbb for s in systems])
+        batched = propagate_states(A, b, np.zeros(4), plasma, grid)
+        assert batched.shape == (3, 4, grid.size)
+        for row, s, Ai in zip(batched, systems, A):
+            single = expm_propagate(Ai, np.zeros(4), plasma, s,
+                                    grid).concentrations()
+            scale = np.maximum(np.abs(single), 1e-300)
+            assert np.max(np.abs(row - single) / scale) <= 1e-14
+
+    def test_nonuniform_grid_knots_off_grid_match_dopri(self):
+        grid = np.array([0.0, 0.05, 0.3, 0.31, 1.7, 2.9, 6.0, 11.5, 24.0,
+                         47.2])
+        plasma = PlasmaSpec().sample(np.linspace(0.0, 48.0, 37))
+        exact = solve(SYS, DRUG, plasma, ModelVariant.PAPER_LITERAL,
+                      InitialState(), SolveConfig(grid=grid))
+        dopri = solve(SYS, DRUG, plasma, ModelVariant.PAPER_LITERAL,
+                      InitialState(), SolveConfig(method=Method.DOPRI45,
+                                                  rtol=1e-10, atol=1e-14,
+                                                  grid=grid))
+        peak = np.max(exact.concentrations(), axis=1, keepdims=True)
+        err = np.abs(exact.concentrations() - dopri.concentrations()) / peak
+        assert np.max(err) < 1e-8
 
 
 class TestSolveDispatch:
