@@ -3,7 +3,7 @@ and differential-evolution parameter estimation."""
 
 from .params import DrugParams, ModelVariant, SystemParams
 from .dataio import ConcentrationSeries, PlasmaProfile
-from .model import assemble_matrix, forcing, rhs
+from .model import assemble_matrix
 from .solvers import (InitialState, Method, PlasmaSpec, SolveConfig,
                       expm_propagate, solve, synthesize_dataset)
 from .training import (BoundedParam, EstimationSpec, LossWeights, TrainConfig,
@@ -13,7 +13,7 @@ from .defit import DEConfig, differential_evolution, fit_de
 __all__ = [
     "DrugParams", "SystemParams", "ModelVariant",
     "ConcentrationSeries", "PlasmaProfile",
-    "assemble_matrix", "forcing", "rhs",
+    "assemble_matrix",
     "InitialState", "Method", "PlasmaSpec", "SolveConfig",
     "expm_propagate", "solve", "synthesize_dataset",
     "BoundedParam", "EstimationSpec", "LossWeights", "TrainConfig",

@@ -8,8 +8,9 @@ Subcommands:
   metrics    PK summary metrics (AUC, Cmax, Tmax, half-life)
   compare    side-by-side table + overlay plots of result summaries
 
-All file outputs are deterministic for identical flags and seed (17
-significant digits, no timestamps inside artifact contents).
+File outputs are deterministic for identical flags and seed (17
+significant digits, no timestamps or wall times inside artifact contents),
+except ``sweep.csv``, whose cells carry each cell's training seconds.
 """
 from __future__ import annotations
 
@@ -32,12 +33,10 @@ from .defit import DEConfig, fit_de
 from .metrics import write_summaries
 from .model import COMPARTMENTS, assemble_matrix
 from .params import (ALL_PARAM_NAMES, DrugParams, ModelVariant, SystemParams,
-                     reference_value)
+                     reference_value, substitute)
 from .solvers import PlasmaSpec, SolverError, expm_propagate, synthesize_dataset
-from .training import (LossWeights, TrainConfig, TrainingDiverged,
+from .training import (DEFAULT_FREE, LossWeights, TrainConfig, TrainingDiverged,
                        default_estimation_spec, train)
-
-DEFAULT_FREE = "Vbb,Vbm,Vccsf,Vscsf,fubb,lam_ccsf"
 
 
 def _outdir(path: str) -> Path:
@@ -66,11 +65,24 @@ def _parse_bounds_scale(arg: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _read_dataset(path, need_plasma: bool = False) -> ConcentrationSeries:
+    try:
+        dataset = read_series(path)
+    except (OSError, DataIOError) as err:
+        raise SystemExit(f"error: {err}") from None
+    if need_plasma and dataset.plasma is None:
+        raise SystemExit("error: dataset must carry a Cplasma column")
+    return dataset
+
+
 def _load_manifest(data_path: str) -> dict | None:
     manifest = Path(data_path).with_name("manifest.json")
     if manifest.exists():
-        with open(manifest, encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with open(manifest, encoding="utf-8") as fh:
+                return json.load(fh)
+        except (OSError, json.JSONDecodeError) as err:
+            raise SystemExit(f"error: {manifest}: {err}") from None
     return None
 
 
@@ -93,8 +105,7 @@ def cmd_simulate(args) -> int:
     out = _outdir(args.out)
 
     sys_p, drug_p = SystemParams(), DrugParams()
-    series = synthesize_dataset(sys_p, drug_p, PlasmaSpec(),
-                                ModelVariant.PAPER_LITERAL, args.points,
+    series = synthesize_dataset(sys_p, drug_p, PlasmaSpec(), args.points,
                                 args.horizon, args.noise_sd, args.seed)
     write_series(series, out / "dataset.csv")
     manifest = {
@@ -116,14 +127,13 @@ def cmd_simulate(args) -> int:
 # -- train -------------------------------------------------------------------
 
 def _write_summary(out: Path, label: str, names, values, abs_errors,
-                   objective: float, seconds: float, prediction: str) -> None:
+                   objective: float, prediction: str) -> None:
     summary = {
         "label": label,
         "free": list(names),
         "values": {n: v for n, v in zip(names, values)},
         "abs_errors": {n: e for n, e in zip(names, abs_errors) if e is not None},
         "objective": objective,
-        "seconds": round(seconds, 3),
         "prediction": prediction,
     }
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
@@ -134,14 +144,10 @@ def cmd_train(args) -> int:
     free_names = _parse_free(args.free)
     bounds = _parse_bounds_scale(args.bounds_scale)
     out = _outdir(args.out)
-    try:
-        dataset = read_series(args.data)
-    except (OSError, DataIOError) as err:
-        raise SystemExit(f"error: {err}") from None
-    if dataset.plasma is None:
-        raise SystemExit("error: dataset must carry a Cplasma column")
+    dataset = _read_dataset(args.data, need_plasma=True)
 
     spec = default_estimation_spec(free_names, bounds)
+    reference = _reference_from_manifest(args.data)
     net_cfg = nn.NetworkConfig(hidden_layers=args.layers, neurons=args.neurons,
                                activation=args.activation,
                                initializer=args.init, seed=args.seed)
@@ -174,18 +180,25 @@ def cmd_train(args) -> int:
                                       plasma=linear_interp(plasma, dense))
     write_series(pred_series, out / "prediction.csv")
 
-    reference = _reference_from_manifest(args.data)
     values = final_spec.constrained_values()
     errors = [abs(reference[n] - values[n]) if n in reference else None
               for n in final_spec.names]
     _write_summary(out, "PINN", final_spec.names,
                    [values[n] for n in final_spec.names], errors,
-                   artifacts.loss_total[-1], artifacts.wall_seconds,
-                   "prediction.csv")
+                   artifacts.loss_total[-1], "prediction.csv")
     for name, value in values.items():
         ref = reference.get(name)
         extra = f" (reference {ref:.9g})" if ref is not None else ""
         print(f"{name}: {value:.9g}{extra}")
+    if args.lbfgs_iters > 0:
+        if artifacts.lbfgs_line_search_failed:
+            stop = "a failed line search"
+        elif artifacts.lbfgs_iterations < args.lbfgs_iters:
+            stop = "gradient tolerance"
+        else:
+            stop = "budget"
+        print(f"L-BFGS: {artifacts.lbfgs_iterations} iterations "
+              f"(stopped on {stop})")
     print(f"final total loss: {artifacts.loss_total[-1]:.6e} "
           f"({artifacts.wall_seconds:.1f}s)")
     return 0
@@ -197,12 +210,7 @@ def cmd_fit_de(args) -> int:
     free_names = _parse_free(args.free)
     bounds = _parse_bounds_scale(args.bounds_scale)
     out = _outdir(args.out)
-    try:
-        dataset = read_series(args.data)
-    except (OSError, DataIOError) as err:
-        raise SystemExit(f"error: {err}") from None
-    if dataset.plasma is None:
-        raise SystemExit("error: dataset must carry a Cplasma column")
+    dataset = _read_dataset(args.data, need_plasma=True)
 
     spec = default_estimation_spec(free_names, bounds)
     cfg = DEConfig(population=args.population, generations=args.generations,
@@ -211,11 +219,9 @@ def cmd_fit_de(args) -> int:
     result = fit_de(dataset, spec, cfg, reference=reference)
     result.write_csv(out / "de_result.csv")
 
-    sys_c, drug_c = spec.base_sys, spec.base_drug
-    from .params import substitute
-    sys_c, drug_c = substitute(sys_c, drug_c,
+    sys_c, drug_c = substitute(spec.base_sys, spec.base_drug,
                                dict(zip(result.names, result.values)))
-    A = assemble_matrix(sys_c, drug_c, ModelVariant.PAPER_LITERAL)
+    A = assemble_matrix(sys_c, drug_c)
     try:
         pred = expm_propagate(A, np.zeros(4), dataset.plasma_profile(), sys_c,
                               dataset.times)
@@ -223,8 +229,7 @@ def cmd_fit_de(args) -> int:
         raise SystemExit(f"error: {err}") from None
     write_series(pred, out / "prediction.csv")
     _write_summary(out, "DE", result.names, list(result.values),
-                   result.abs_errors, result.objective, result.wall_seconds,
-                   "prediction.csv")
+                   result.abs_errors, result.objective, "prediction.csv")
     for name, value, err in zip(result.names, result.values, result.abs_errors):
         extra = f" (abs error {err:.3e})" if err is not None else ""
         print(f"{name}: {value:.9g}{extra}")
@@ -241,7 +246,7 @@ def _sweep_cell(payload):
     """One sweep cell; returns 'loss (seconds)' or 'diverged'."""
     (data_path, activation, layers, neurons, iters, seed) = payload
     dataset = read_series(data_path)
-    spec = default_estimation_spec(_parse_free(DEFAULT_FREE))
+    spec = default_estimation_spec()
     net_cfg = nn.NetworkConfig(hidden_layers=layers, neurons=neurons,
                                activation=activation, seed=seed,
                                initializer="glorot-uniform")
@@ -256,16 +261,23 @@ def _sweep_cell(payload):
         return activation, layers, neurons, None, time.perf_counter() - start
 
 
+def _parse_counts(flag: str, arg: str) -> list[int]:
+    try:
+        return [int(x) for x in arg.split(",") if x.strip()]
+    except ValueError:
+        raise SystemExit(f"error: {flag} expects comma-separated integers, "
+                         f"got {arg!r}") from None
+
+
 def cmd_sweep(args) -> int:
     activations = [a.strip() for a in args.activations.split(",") if a.strip()]
-    layer_counts = [int(x) for x in args.layers.split(",")]
-    neuron_counts = [int(x) for x in args.neurons.split(",")]
+    layer_counts = _parse_counts("--layers", args.layers)
+    neuron_counts = _parse_counts("--neurons", args.neurons)
     if not activations or not layer_counts or not neuron_counts:
         raise SystemExit("error: empty sweep grid")
     iters = 1000 if args.fast else args.iters
     out = _outdir(args.out)
-    if not Path(args.data).exists():
-        raise SystemExit(f"error: no such file: {args.data}")
+    _read_dataset(args.data, need_plasma=True)  # each cell reads it again
 
     cells = [(args.data, act, L, N, iters, args.seed)
              for L in layer_counts for act in activations
@@ -302,28 +314,39 @@ def cmd_metrics(args) -> int:
     if not 0.0 < args.tail_fraction <= 1.0:
         raise SystemExit("error: --tail-fraction must be in (0, 1]")
     out = _outdir(args.out)
-    try:
-        dataset = read_series(args.data)
-    except (OSError, DataIOError) as err:
-        raise SystemExit(f"error: {err}") from None
-    write_summaries(dataset, out / "pk_summary.csv", args.tail_fraction)
+    write_summaries(_read_dataset(args.data), out / "pk_summary.csv",
+                    args.tail_fraction)
     print(f"wrote {out / 'pk_summary.csv'}")
     return 0
 
 
 # -- compare -----------------------------------------------------------------
 
+def _read_summary(path: str) -> dict:
+    """A ``summary.json`` as ``train`` and ``fit-de`` write it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            summary = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        raise SystemExit(f"error: {err}") from None
+    if not isinstance(summary, dict):
+        raise SystemExit(f"error: {path}: not a result summary")
+    missing = [k for k in ("label", "free", "values", "abs_errors", "prediction")
+               if k not in summary]
+    if missing:
+        raise SystemExit(f"error: {path}: summary lacks {', '.join(missing)}")
+    if not (isinstance(summary["values"], dict)
+            and isinstance(summary["abs_errors"], dict)):
+        raise SystemExit(f"error: {path}: values and abs_errors must be "
+                         f"mappings")
+    return summary
+
+
 def cmd_compare(args) -> int:
     if len(args.results) < 2:
         raise SystemExit("error: compare needs at least two result summaries")
     out = _outdir(args.out)
-    summaries = []
-    for path in args.results:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                summaries.append((Path(path), json.load(fh)))
-        except (OSError, json.JSONDecodeError) as err:
-            raise SystemExit(f"error: {err}") from None
+    summaries = [(Path(path), _read_summary(path)) for path in args.results]
 
     names = list(summaries[0][1]["free"])
     header = ["parameter", "reference"]
@@ -343,14 +366,11 @@ def cmd_compare(args) -> int:
 
     labeled = []
     if args.data:
-        try:
-            labeled.append(("observed", read_series(args.data)))
-        except (OSError, DataIOError) as err:
-            raise SystemExit(f"error: {err}") from None
+        labeled.append(("observed", _read_dataset(args.data)))
     for path, s in summaries:
         pred_path = path.parent / s["prediction"]
         if pred_path.exists():
-            labeled.append((s["label"], read_series(pred_path)))
+            labeled.append((s["label"], _read_dataset(pred_path)))
     if labeled:
         for comp in COMPARTMENTS:
             emit_plot(labeled, comp, out / f"compare_{comp}.svg")
@@ -377,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="inverse-PINN parameter estimation")
     p.add_argument("--data", required=True)
-    p.add_argument("--free", default=DEFAULT_FREE)
+    p.add_argument("--free", default=",".join(DEFAULT_FREE))
     p.add_argument("--bounds-scale", default="0.5,2.0")
     p.add_argument("--layers", type=int, default=6)
     p.add_argument("--neurons", type=int, default=50)
@@ -399,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-de", help="differential-evolution baseline fit")
     p.add_argument("--data", required=True)
-    p.add_argument("--free", default=DEFAULT_FREE)
+    p.add_argument("--free", default=",".join(DEFAULT_FREE))
     p.add_argument("--bounds-scale", default="0.5,2.0")
     p.add_argument("--population", type=int, default=0,
                    help="0 selects 10 x dimension")

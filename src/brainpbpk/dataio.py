@@ -201,6 +201,8 @@ class RunArtifacts:
     trajectory: list[list[float]] = field(default_factory=list)
     prediction: ConcentrationSeries | None = None
     wall_seconds: float = 0.0
+    lbfgs_iterations: int = 0
+    lbfgs_line_search_failed: bool = False
 
     def log(self, iteration: int, ld: float, lo: float, li: float,
             total: float, values: list[float]) -> None:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import ConcentrationSeries
 from .model import assemble_matrix
-from .params import ModelVariant, reference_value, substitute
+from .params import reference_value, substitute
 from .solvers import propagate_states
 from .training import EstimationSpec
 
@@ -59,20 +59,17 @@ class EstimationResult:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["parameter", "value", "abs_error",
-                             "objective", "seconds"])
+            writer.writerow(["parameter", "value", "abs_error", "objective"])
             for i, name in enumerate(self.names):
                 err = self.abs_errors[i]
                 writer.writerow([
                     name, f"{self.values[i]:.17g}",
                     "" if err is None else f"{err:.17g}",
-                    f"{self.objective:.17g}" if i == 0 else "",
-                    f"{self.wall_seconds:.3f}" if i == 0 else ""])
+                    f"{self.objective:.17g}" if i == 0 else ""])
 
 
 def population_sse(population, spec: EstimationSpec,
-                   dataset: ConcentrationSeries, plasma=None,
-                   variant: ModelVariant = ModelVariant.PAPER_LITERAL) -> np.ndarray:
+                   dataset: ConcentrationSeries, plasma=None) -> np.ndarray:
     """Sum of squared residuals over all compartments and time points for
     each row of a ``(P, d)`` population of free-parameter vectors; rows
     that fail validation or solve to non-finite states score +inf."""
@@ -85,7 +82,7 @@ def population_sse(population, spec: EstimationSpec,
         try:
             sys_c, drug_c = substitute(spec.base_sys, spec.base_drug,
                                        dict(zip(spec.names, x)))
-            mats.append(assemble_matrix(sys_c, drug_c, variant))
+            mats.append(assemble_matrix(sys_c, drug_c))
             scales.append(sys_c.Qbrain / sys_c.Vbb)
         except (ValueError, OverflowError):
             continue
@@ -104,12 +101,9 @@ def population_sse(population, spec: EstimationSpec,
 
 
 def sse_objective(free_values, spec: EstimationSpec,
-                  dataset: ConcentrationSeries,
-                  plasma=None,
-                  variant: ModelVariant = ModelVariant.PAPER_LITERAL) -> float:
+                  dataset: ConcentrationSeries, plasma=None) -> float:
     """``population_sse`` for a single candidate free-parameter vector."""
-    return float(population_sse([free_values], spec, dataset, plasma,
-                                variant)[0])
+    return float(population_sse([free_values], spec, dataset, plasma)[0])
 
 
 def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -175,7 +169,6 @@ def differential_evolution(objective, bounds, cfg: DEConfig = DEConfig()):
 
 def fit_de(dataset: ConcentrationSeries, spec: EstimationSpec,
            cfg: DEConfig = DEConfig(),
-           variant: ModelVariant = ModelVariant.PAPER_LITERAL,
            reference: dict | None = None) -> EstimationResult:
     """DE fit of the free parameters; absolute errors are reported against
     the built-in reference values (or an explicit reference mapping)."""
@@ -186,7 +179,7 @@ def fit_de(dataset: ConcentrationSeries, spec: EstimationSpec,
 
     def objective(population):
         nonlocal inf_candidates
-        sse = population_sse(population, spec, dataset, plasma, variant)
+        sse = population_sse(population, spec, dataset, plasma)
         inf_candidates += int(np.count_nonzero(np.isinf(sse)))
         return sse
 

@@ -1,4 +1,9 @@
-"""Rate matrix, forcing term, and right-hand side of the brain model.
+"""Rate matrix and right-hand side of the brain model.
+
+Both follow the printed mass-balance equations term by term (the paper's
+sign convention): the uptake-transporter term CLBin enters brain blood as
+an influx and the spinal-to-cranial return flow Qsout leaves cranial CSF
+as an efflux.
 
 Two independent formulations are kept deliberately: ``influx_terms`` writes
 the four mass balances term by term (``rhs_terms`` divides them by the
@@ -12,27 +17,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import DrugParams, ModelVariant, SystemParams
+from .params import DrugParams, SystemParams
 
 COMPARTMENTS = ("Cbb", "Cbm", "Cccsf", "Cscsf")
 
 
-def assemble_matrix(sys: SystemParams, drug: DrugParams,
-                    variant: ModelVariant = ModelVariant.PAPER_LITERAL) -> np.ndarray:
-    """4x4 rate-coefficient matrix A (1/h) such that Y' = A Y + forcing/Vbb * e1.
-
-    The paper-literal variant keeps the uptake-transporter term CLBin as an
-    influx into brain blood and the spinal->cranial return flow Qsout as an
-    efflux from cranial CSF, exactly as the mass balances are written. The
-    mass-consistent variant flips both couplings.
-    """
+def assemble_matrix(sys: SystemParams, drug: DrugParams) -> np.ndarray:
+    """4x4 rate-coefficient matrix A (1/h) such that
+    Y' = A Y + (Qbrain/Vbb) Cart(t) e1."""
     s, d = sys, drug
-    literal = variant is ModelVariant.PAPER_LITERAL
-
     A = np.zeros((4, 4))
 
-    clbin_blood = -d.CLBin * d.fubb if literal else d.CLBin * d.fubb
-    A[0, 0] = -(s.Qbrain + s.PSB * d.lam_bb * d.fubb + clbin_blood
+    A[0, 0] = -(s.Qbrain + s.PSB * d.lam_bb * d.fubb - d.CLBin * d.fubb
                 + s.PSC * d.lam_bb * d.fubb + d.CLCin * d.fubb) / s.Vbb
     A[0, 1] = (s.PSB * d.lam_bm * d.fubm + d.CLBout * d.fubm) / s.Vbb
     A[0, 2] = (s.PSC * d.lam_ccsf * d.fuccsf + d.CLCout * d.fuccsf
@@ -49,7 +45,7 @@ def assemble_matrix(sys: SystemParams, drug: DrugParams,
     A[2, 1] = s.PSE * d.lam_bm * d.fubm / s.Vccsf
     A[2, 2] = -(s.PSC * d.lam_ccsf * d.fuccsf + d.CLCout * d.fuccsf
                 + s.PSE * d.lam_ccsf * d.fuccsf + s.Qsin + s.Qcsink) / s.Vccsf
-    A[2, 3] = (-s.Qsout if literal else s.Qsout) / s.Vccsf
+    A[2, 3] = -s.Qsout / s.Vccsf
 
     A[3, 0] = 0.0
     A[3, 1] = 0.0
@@ -59,15 +55,7 @@ def assemble_matrix(sys: SystemParams, drug: DrugParams,
     return A
 
 
-def forcing(t, sys: SystemParams, plasma) -> float:
-    """Exogenous input Qbrain * Cart(t) in mg/h (enters brain blood)."""
-    from .dataio import linear_interp
-
-    return sys.Qbrain * linear_interp(plasma, t)
-
-
-def influx_terms(Y, cart, sys: SystemParams, drug: DrugParams,
-                 variant: ModelVariant = ModelVariant.PAPER_LITERAL):
+def influx_terms(Y, cart, sys: SystemParams, drug: DrugParams):
     """Term-by-term mass balances as amount rates; generic over floats,
     arrays, and autodiff variables (the PINN residual substitutes trainable
     parameters in).
@@ -78,12 +66,11 @@ def influx_terms(Y, cart, sys: SystemParams, drug: DrugParams,
     """
     Cbb, Cbm, Cccsf, Cscsf = Y
     s, d = sys, drug
-    literal = variant is ModelVariant.PAPER_LITERAL
 
     clbin_bb = d.CLBin * d.fubb * Cbb
     Jbb = (s.Qbrain * (cart - Cbb)
            + s.PSB * (d.lam_bm * d.fubm * Cbm - d.lam_bb * d.fubb * Cbb)
-           + (clbin_bb if literal else -clbin_bb)
+           + clbin_bb
            + d.CLBout * d.fubm * Cbm
            + s.PSC * (d.lam_ccsf * d.fuccsf * Cccsf - d.lam_bb * d.fubb * Cbb)
            - d.CLCin * d.fubb * Cbb
@@ -98,11 +85,10 @@ def influx_terms(Y, cart, sys: SystemParams, drug: DrugParams,
            + s.PSE * (d.lam_ccsf * d.fuccsf * Cccsf - d.lam_bm * d.fubm * Cbm)
            - d.CLmet * Cbm)
 
-    qsout_ccsf = s.Qsout * Cscsf
     Jccsf = (s.PSC * (d.lam_bb * d.fubb * Cbb - d.lam_ccsf * d.fuccsf * Cccsf)
              + d.CLCin * d.fubb * Cbb
              - d.CLCout * d.fuccsf * Cccsf
-             + (-qsout_ccsf if literal else qsout_ccsf)
+             + -(s.Qsout * Cscsf)  # the printed sign: an efflux
              + s.PSE * (d.lam_bm * d.fubm * Cbm - d.lam_ccsf * d.fuccsf * Cccsf)
              - s.Qsin * Cccsf
              - s.Qcsink * Cccsf)
@@ -117,18 +103,8 @@ def volumes(sys: SystemParams):
     return sys.Vbb, sys.Vbm, sys.Vccsf, sys.Vscsf
 
 
-def rhs_terms(Y, cart, sys: SystemParams, drug: DrugParams,
-              variant: ModelVariant = ModelVariant.PAPER_LITERAL):
+def rhs_terms(Y, cart, sys: SystemParams, drug: DrugParams):
     """``influx_terms`` divided by the compartment volumes: a 4-tuple of
     dC/dt values (mg/(L*h)), generic over the same argument types."""
-    J = influx_terms(Y, cart, sys, drug, variant)
+    J = influx_terms(Y, cart, sys, drug)
     return tuple(j / v for j, v in zip(J, volumes(sys)))
-
-
-def rhs(t, Y, sys: SystemParams, drug: DrugParams, plasma,
-        variant: ModelVariant = ModelVariant.PAPER_LITERAL) -> np.ndarray:
-    """Right-hand side dY/dt at time t with plasma forcing interpolated."""
-    from .dataio import linear_interp
-
-    cart = linear_interp(plasma, t)
-    return np.array(rhs_terms(tuple(Y), cart, sys, drug, variant))

@@ -6,8 +6,8 @@ output layer is affine. Two evaluation paths exist:
 
 * plain numpy (``forward`` / ``forward_with_time_derivative``) for
   prediction and testing, and
-* tape-recorded (``forward_tape`` / ``forward_dual_tape``) for training,
-  where weights and biases are autodiff ``Var`` leaves.
+* tape-recorded (``forward_dual_tape``) for training, where weights and
+  biases are autodiff ``Var`` leaves.
 
 Both paths execute the same operations in the same order, so their value
 outputs agree bit for bit.
@@ -140,16 +140,6 @@ def forward_with_time_derivative(net: Network, t_hat):
 
 # -- tape evaluation ---------------------------------------------------------
 
-def _act_tape(name: str, omega: float, z: Var) -> Var:
-    if name == "tanh":
-        return ad.tanh(z)
-    if name == "sigmoid":
-        return ad.sigmoid(z)
-    if name == "relu":
-        return ad.relu(z)
-    return ad.sin(omega * z)
-
-
 def _act_tape_dual(name: str, omega: float, z: Var, zdot: Var):
     if name == "tanh":
         a = ad.tanh(z)
@@ -162,14 +152,6 @@ def _act_tape_dual(name: str, omega: float, z: Var, zdot: Var):
         return ad.relu(z), mask * zdot
     a = ad.sin(omega * z)
     return a, omega * ad.cos(omega * z) * zdot
-
-
-def forward_tape(cfg: NetworkConfig, weights: list[Var], biases: list[Var],
-                 t_hat) -> Var:
-    x = Var(_as_input(t_hat), op="input")
-    for W, b in zip(weights[:-1], biases[:-1]):
-        x = _act_tape(cfg.activation, cfg.omega, W @ x + b)
-    return weights[-1] @ x + biases[-1]
 
 
 def forward_dual_tape(cfg: NetworkConfig, weights: list[Var],

@@ -12,16 +12,14 @@ from enum import Enum
 
 
 class ModelVariant(Enum):
-    """Sign convention used when assembling the rate matrix.
-
-    PAPER_LITERAL follows the printed mass-balance equations term by term
-    (the default everywhere). MASS_CONSISTENT flips the spinal-to-cranial
-    CSF return flow and the BBB uptake-transporter term so that the CSF
-    loop conserves mass when those terms are nonzero.
+    """Sign convention of the model equations. The package implements one:
+    PAPER_LITERAL, the printed mass-balance equations term by term (see
+    ``brainpbpk.model``). It is kept as the ``variant`` argument of
+    ``solvers.solve`` and as the ``variant`` entry of a simulated
+    dataset's ``manifest.json``.
     """
 
     PAPER_LITERAL = "paper-literal"
-    MASS_CONSISTENT = "mass-consistent"
 
 
 _VOLUME_FIELDS = ("Vbb", "Vbm", "Vccsf", "Vscsf")

@@ -159,11 +159,13 @@ def _series_from(grid, states, plasma) -> ConcentrationSeries:
 def solve(sys: SystemParams, drug: DrugParams, plasma: PlasmaProfile,
           variant: ModelVariant, init: InitialState,
           cfg: SolveConfig) -> ConcentrationSeries:
-    """Forward-solve the brain model on cfg.grid with the configured method."""
+    """Forward-solve the brain model on cfg.grid with the configured method.
+    ``variant`` names the sign convention; ``ModelVariant`` has one member,
+    ``PAPER_LITERAL``."""
     grid = cfg.grid
     if grid[0] < init.t0 - 1e-12:
         raise ValueError("output grid must start at or after t0")
-    A = assemble_matrix(sys, drug, variant)
+    A = assemble_matrix(sys, drug)
     scale = sys.Qbrain / sys.Vbb
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -289,7 +291,6 @@ class PlasmaSpec:
 
 def synthesize_dataset(sys: SystemParams, drug: DrugParams,
                        plasma_spec: PlasmaSpec = PlasmaSpec(),
-                       variant: ModelVariant = ModelVariant.PAPER_LITERAL,
                        n_points: int = 200, horizon: float = 48.0,
                        noise_sd: float = 0.0, seed: int = 0) -> ConcentrationSeries:
     """Exact forward solve on a uniform grid from zero initial state, with
@@ -303,7 +304,7 @@ def synthesize_dataset(sys: SystemParams, drug: DrugParams,
 
     grid = np.linspace(0.0, horizon, n_points)
     plasma = plasma_spec.sample(grid)
-    A = assemble_matrix(sys, drug, variant)
+    A = assemble_matrix(sys, drug)
     series = expm_propagate(A, np.zeros(4), plasma, sys, grid)
     if noise_sd == 0.0:
         return series

@@ -22,11 +22,11 @@ With per-compartment weights w, the three loss components are
     ode  = sum_k w_ode_k  * mean_j (r_k(t_j) / ode_scale_k)^2,
            r_k = V_k * dC_k/dt - net influx_k(C, Cart)   (amount form, mg/h)
 
-at the data times t_i and the collocation times t_j. The amount form keeps
-a misfit from getting cheaper as a trainable volume grows, which the rate
-form dC_k/dt - influx_k / V_k does. ``train`` folds both scales into the
-network it returns (``network.fold_scales``), so that network maps
-normalized time t / horizon to concentrations in mg/L.
+at the data times t_i, which are also the collocation times t_j. The
+amount form keeps a misfit from getting cheaper as a trainable volume
+grows, which the rate form dC_k/dt - influx_k / V_k does. ``train`` folds
+both scales into the network it returns (``network.fold_scales``), so that
+network maps normalized time t / horizon to concentrations in mg/L.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from .autodiff import NonFiniteGradient, Var, grad
 from .autodiff import sigmoid as ad_sigmoid
 from .dataio import ConcentrationSeries, PlasmaProfile, RunArtifacts, linear_interp
 from .model import assemble_matrix, influx_terms, volumes
-from .params import (ALL_PARAM_NAMES, DrugParams, ModelVariant, SystemParams,
+from .params import (ALL_PARAM_NAMES, DrugParams, SystemParams,
                      reference_value, substitute)
 
 
@@ -65,9 +65,6 @@ class BoundedParam:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"{self.name}: lower bound must be below upper")
-
-    def constrained(self):
-        return constrain(self)
 
 
 def constrain(p: BoundedParam):
@@ -140,7 +137,6 @@ class TrainConfig:
     lr: float = 1e-4
     iterations: int = 50_000
     lbfgs_iters: int = 500
-    extra_collocation: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
     log_stride: int = 100
     seed: int = 0
@@ -178,9 +174,7 @@ def ic_loss(pred0: np.ndarray, y0: np.ndarray, weights: np.ndarray,
 
 def ode_loss(net: nn.Network, spec: EstimationSpec, plasma: PlasmaProfile,
              collocation_times: np.ndarray, horizon: float,
-             weights: np.ndarray,
-             variant: ModelVariant = ModelVariant.PAPER_LITERAL,
-             scale=None) -> float:
+             weights: np.ndarray, scale=None) -> float:
     """Mean squared amount-form ODE residual V_k * dC_k/dt - influx_k per
     equation, divided by ``scale`` (the ODE scale), lambda-weighted. ``net``
     maps t / horizon to concentrations, as ``train`` returns it (numpy
@@ -190,7 +184,7 @@ def ode_loss(net: nn.Network, spec: EstimationSpec, plasma: PlasmaProfile,
     dYdt = Ydot_hat / horizon
     cart = linear_interp(plasma, t)
     sys_r, drug_r = spec.realized()
-    J = influx_terms((Y[0], Y[1], Y[2], Y[3]), cart, sys_r, drug_r, variant)
+    J = influx_terms((Y[0], Y[1], Y[2], Y[3]), cart, sys_r, drug_r)
     resid = np.array([v * dYdt[k] - J[k]
                       for k, v in enumerate(volumes(sys_r))])
     return _scaled_mse(resid, weights, scale)
@@ -200,50 +194,40 @@ def ode_loss(net: nn.Network, spec: EstimationSpec, plasma: PlasmaProfile,
 
 @dataclass
 class _Problem:
-    """Precomputed constants shared by every loss evaluation. Times are in
-    hours; observations are divided by ``peak``."""
+    """Precomputed constants shared by every loss evaluation. ``times``
+    (hours) are both the data and the collocation times; observations are
+    divided by ``peak``."""
 
     cfg: nn.NetworkConfig
     spec: EstimationSpec
-    variant: ModelVariant
     horizon: float
-    data_t: np.ndarray
+    times: np.ndarray
     obs_u: np.ndarray
     y0_u: np.ndarray
-    colloc_t: np.ndarray
-    cart_colloc: np.ndarray
+    cart: np.ndarray
     weights: LossWeights
-    data_is_colloc: bool
     peak: np.ndarray
     ode_scale: np.ndarray
 
 
 def _composite_loss(prob: _Problem, weight_vars, bias_vars, raw_vars):
     """Build the full loss graph in scaled coordinates (see the module
-    docstring); returns (total Var, component floats)."""
+    docstring); returns (total Var, component floats). One dual forward
+    pass gives the network values for the data and IC terms and the time
+    derivatives for the ODE residual, which is skipped when every ODE
+    weight is zero."""
     w = prob.weights
-    need_ode = bool(np.any(w.ode))
-
-    if need_ode:
-        Uc, Ucdot = nn.forward_dual_tape(prob.cfg, weight_vars, bias_vars,
-                                         prob.colloc_t)
-    else:
-        Uc = nn.forward_tape(prob.cfg, weight_vars, bias_vars, prob.colloc_t)
-    if prob.data_is_colloc:
-        Ud = Uc
-    else:
-        Ud = nn.forward_tape(prob.cfg, weight_vars, bias_vars, prob.data_t)
+    U, Udot = nn.forward_dual_tape(prob.cfg, weight_vars, bias_vars, prob.times)
 
     l_ode = 0.0
-    if need_ode:
+    if np.any(w.ode):
         constrained = {p.name: _constrain_var(p, rv)
                        for p, rv in zip(prob.spec.free, raw_vars)}
         sys_r, drug_r = substitute(prob.spec.base_sys, prob.spec.base_drug,
                                    constrained)
         peak = prob.peak[:, None]
-        C, Cdot = Uc * peak, Ucdot * peak
-        J = influx_terms([C[k] for k in range(4)], prob.cart_colloc, sys_r,
-                         drug_r, prob.variant)
+        C, Cdot = U * peak, Udot * peak
+        J = influx_terms([C[k] for k in range(4)], prob.cart, sys_r, drug_r)
         for k, vol in enumerate(volumes(sys_r)):
             if w.ode[k]:
                 resid = vol * Cdot[k] - J[k]
@@ -254,13 +238,13 @@ def _composite_loss(prob: _Problem, weight_vars, bias_vars, raw_vars):
     l_data = 0.0
     for k in range(4):
         if w.data[k]:
-            resid = Ud[k] - prob.obs_u[k]
+            resid = U[k] - prob.obs_u[k]
             l_data = l_data + float(w.data[k]) * (resid ** 2).mean()
 
     l_ic = 0.0
     for k in range(4):
         if w.ic[k]:
-            r0 = Ud[k, 0] - prob.y0_u[k]
+            r0 = U[k, 0] - prob.y0_u[k]
             l_ic = l_ic + float(w.ic[k]) * r0 ** 2
 
     total = l_data + l_ode + l_ic
@@ -274,29 +258,21 @@ def _positive_or_one(x: np.ndarray) -> np.ndarray:
 
 
 def build_problem(dataset: ConcentrationSeries, spec: EstimationSpec,
-                  net_cfg: nn.NetworkConfig, train_cfg: TrainConfig,
-                  variant: ModelVariant = ModelVariant.PAPER_LITERAL) -> _Problem:
+                  net_cfg: nn.NetworkConfig, train_cfg: TrainConfig) -> _Problem:
     """Loss constants, including the peak and ODE scales of the module
     docstring. A scale that would be zero (a compartment never observed
     above zero, or one without outflow) is replaced by 1."""
     plasma = dataset.plasma_profile()
     times = dataset.times
-    horizon = float(times[-1])
-    colloc = times
-    if train_cfg.extra_collocation > 0:
-        extra = np.linspace(times[0], horizon, train_cfg.extra_collocation + 2)[1:-1]
-        colloc = np.unique(np.concatenate([times, extra]))
-    data_is_colloc = colloc.size == times.size and np.array_equal(colloc, times)
     obs = dataset.concentrations()
     peak = _positive_or_one(np.max(np.abs(obs), axis=1))
     mid = {p.name: 0.5 * (p.lo + p.hi) for p in spec.free}
     sys_m, drug_m = substitute(spec.base_sys, spec.base_drug, mid)
-    outflow = -np.diag(assemble_matrix(sys_m, drug_m, variant)) * volumes(sys_m)
+    outflow = -np.diag(assemble_matrix(sys_m, drug_m)) * volumes(sys_m)
     return _Problem(
-        cfg=net_cfg, spec=spec, variant=variant, horizon=horizon,
-        data_t=times, obs_u=obs / peak[:, None], y0_u=obs[:, 0] / peak,
-        colloc_t=colloc, cart_colloc=linear_interp(plasma, colloc),
-        weights=train_cfg.weights, data_is_colloc=data_is_colloc,
+        cfg=net_cfg, spec=spec, horizon=float(times[-1]), times=times,
+        obs_u=obs / peak[:, None], y0_u=obs[:, 0] / peak,
+        cart=linear_interp(plasma, times), weights=train_cfg.weights,
         peak=peak, ode_scale=peak * _positive_or_one(outflow))
 
 
@@ -323,10 +299,6 @@ class AdamState:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             a -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-def adam_step(state: AdamState, arrays, grads, lr: float) -> None:
-    state.step(arrays, grads, lr)
 
 
 @dataclass
@@ -422,17 +394,18 @@ def _unpack(flat: np.ndarray, templates) -> list[np.ndarray]:
 
 
 def train(dataset: ConcentrationSeries, spec: EstimationSpec,
-          net_cfg: nn.NetworkConfig, train_cfg: TrainConfig,
-          variant: ModelVariant = ModelVariant.PAPER_LITERAL):
+          net_cfg: nn.NetworkConfig, train_cfg: TrainConfig):
     """Adam on the composite loss, then optional L-BFGS refinement.
 
     Returns (trained Network, EstimationSpec with final raw values,
-    RunArtifacts). The network is trained in scaled coordinates and
-    returned with the scales folded in: it maps t / horizon to
-    concentrations. Deterministic under the configured seeds.
+    RunArtifacts); the artifacts record how many L-BFGS iterations ran and
+    whether the stage stopped on a failed line search. The network is
+    trained in scaled coordinates and returned with the scales folded in:
+    it maps t / horizon to concentrations. Deterministic under the
+    configured seeds.
     """
     t_start = time.perf_counter()
-    prob = build_problem(dataset, spec, net_cfg, train_cfg, variant)
+    prob = build_problem(dataset, spec, net_cfg, train_cfg)
     net = nn.init_network(net_cfg)
     arrays = net.parameter_arrays()
     raws = [np.asarray(float(p.raw)) for p in spec.free]
@@ -491,6 +464,8 @@ def train(dataset: ConcentrationSeries, spec: EstimationSpec,
 
         result = lbfgs_refine(loss_and_grad, _pack(all_arrays),
                               train_cfg.lbfgs_iters, callback=cb)
+        artifacts.lbfgs_iterations = result.iterations
+        artifacts.lbfgs_line_search_failed = result.line_search_failed
         for it, x in logged:
             arrs = _unpack(x, templates)
             _, comp, _ = eval_loss(arrs)

@@ -19,9 +19,8 @@ from brainpbpk.params import (DrugParams, ModelVariant, SystemParams,
                               reference_value)
 from brainpbpk.solvers import (InitialState, Method, SolveConfig,
                                synthesize_dataset, solve)
-from brainpbpk.training import (LossWeights, TrainConfig, build_problem,
-                                _composite_loss, default_estimation_spec,
-                                train)
+from brainpbpk.training import (TrainConfig, build_problem, _composite_loss,
+                                default_estimation_spec, train)
 
 SYS = SystemParams()
 DRUG = DrugParams()
@@ -219,8 +218,7 @@ def test_criterion_7_property_bundle(tmp_path):
         cart = rng.uniform(0, 1)
         via_matrix = A @ y
         via_matrix[0] += SYS.Qbrain * cart / SYS.Vbb
-        via_terms = np.array(rhs_terms(y, cart, SYS, DRUG,
-                                       ModelVariant.PAPER_LITERAL))
+        via_terms = np.array(rhs_terms(y, cart, SYS, DRUG))
         assert np.max(np.abs(via_terms - via_matrix) /
                       np.maximum(np.abs(via_matrix), 1.0)) < 1e-12
 

@@ -1,6 +1,6 @@
 import json
+import shutil
 
-import numpy as np
 import pytest
 
 from brainpbpk.cli import main
@@ -13,6 +13,19 @@ def dataset_dir(tmp_path_factory):
     assert main(["simulate", "--points", "40", "--horizon", "48",
                  "--out", str(out)]) == 0
     return out
+
+
+def artifact_bytes(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def bad_manifest_copy(dataset_dir, tmp_path):
+    """The dataset next to a manifest.json that is not valid JSON."""
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(dataset_dir / "dataset.csv", data / "dataset.csv")
+    (data / "manifest.json").write_text("{not json", encoding="utf-8")
+    return data / "dataset.csv"
 
 
 class TestSimulate:
@@ -52,6 +65,31 @@ class TestTrain:
                                         "fubb", "lam_ccsf"}
         assert all(e >= 0 for e in summary["abs_errors"].values())
 
+    def test_artifacts_bit_reproducible(self, dataset_dir, tmp_path):
+        runs = []
+        for name in ("a", "b"):
+            assert main(["train", "--data", str(dataset_dir / "dataset.csv"),
+                         "--layers", "1", "--neurons", "4", "--iters", "20",
+                         "--lbfgs-iters", "2", "--out",
+                         str(tmp_path / name)]) == 0
+            runs.append(artifact_bytes(tmp_path / name))
+        assert len(runs[0]) == 5
+        assert runs[0] == runs[1]
+
+    def test_reports_lbfgs_stop(self, dataset_dir, tmp_path, capsys):
+        assert main(["train", "--data", str(dataset_dir / "dataset.csv"),
+                     "--layers", "1", "--neurons", "4", "--iters", "5",
+                     "--lbfgs-iters", "2", "--out", str(tmp_path)]) == 0
+        assert "L-BFGS: 2 iterations (stopped on budget)" in \
+            capsys.readouterr().out
+
+    def test_invalid_manifest_is_an_error(self, dataset_dir, tmp_path):
+        data = bad_manifest_copy(dataset_dir, tmp_path)
+        with pytest.raises(SystemExit, match="^error: .*manifest.json"):
+            main(["train", "--data", str(data), "--layers", "1",
+                  "--neurons", "4", "--iters", "1", "--lbfgs-iters", "0",
+                  "--out", str(tmp_path / "out")])
+
     def test_unknown_free_name_rejected(self, dataset_dir, tmp_path):
         with pytest.raises(SystemExit):
             main(["train", "--data", str(dataset_dir / "dataset.csv"),
@@ -70,10 +108,27 @@ class TestFitDe:
                    "--out", str(tmp_path)])
         assert rc == 0
         lines = (tmp_path / "de_result.csv").read_text().splitlines()
-        assert lines[0] == "parameter,value,abs_error,objective,seconds"
+        assert lines[0] == "parameter,value,abs_error,objective"
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["label"] == "DE"
         assert (tmp_path / "prediction.csv").exists()
+
+    def test_artifacts_bit_reproducible(self, dataset_dir, tmp_path):
+        runs = []
+        for name in ("a", "b"):
+            assert main(["fit-de", "--data", str(dataset_dir / "dataset.csv"),
+                         "--free", "Vbb,Vscsf", "--generations", "5",
+                         "--out", str(tmp_path / name)]) == 0
+            runs.append(artifact_bytes(tmp_path / name))
+        assert sorted(runs[0]) == ["de_result.csv", "prediction.csv",
+                                   "summary.json"]
+        assert runs[0] == runs[1]
+
+    def test_invalid_manifest_is_an_error(self, dataset_dir, tmp_path):
+        data = bad_manifest_copy(dataset_dir, tmp_path)
+        with pytest.raises(SystemExit, match="^error: .*manifest.json"):
+            main(["fit-de", "--data", str(data), "--free", "Vbb",
+                  "--generations", "1", "--out", str(tmp_path / "out")])
 
 
 class TestSweep:
@@ -88,6 +143,18 @@ class TestSweep:
         for line in lines[1:]:
             cell = line.split(",")[2]
             assert cell == "diverged" or "(" in cell
+
+    def test_malformed_dataset_is_an_error(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y\n1,2\n")
+        with pytest.raises(SystemExit, match="^error: missing required column"):
+            main(["sweep", "--data", str(bad), "--layers", "1",
+                  "--neurons", "2", "--iters", "1", "--out", str(tmp_path)])
+
+    def test_non_integer_layers_is_an_error(self, dataset_dir, tmp_path):
+        with pytest.raises(SystemExit, match="^error: --layers"):
+            main(["sweep", "--data", str(dataset_dir / "dataset.csv"),
+                  "--layers", "x", "--out", str(tmp_path)])
 
 
 class TestMetrics:
@@ -125,6 +192,28 @@ class TestCompare:
         assert lines[1].startswith("Vbb,0.064952435")
         for c in ("Cbb", "Cbm", "Cccsf", "Cscsf"):
             assert (comp / f"compare_{c}.svg").exists()
+
+    def test_incomplete_summary_is_an_error(self, dataset_dir, tmp_path):
+        good = tmp_path / "good"
+        assert main(["fit-de", "--data", str(dataset_dir / "dataset.csv"),
+                     "--free", "Vbb", "--generations", "1",
+                     "--out", str(good)]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"label": "X", "objective": 1.0}))
+        with pytest.raises(SystemExit, match="^error: .*bad.json.*values"):
+            main(["compare", "--results", str(good / "summary.json"),
+                  str(bad), "--out", str(tmp_path / "cmp")])
+
+    def test_malformed_prediction_is_an_error(self, dataset_dir, tmp_path):
+        for name in ("a", "b"):
+            assert main(["fit-de", "--data", str(dataset_dir / "dataset.csv"),
+                         "--free", "Vbb", "--generations", "1",
+                         "--out", str(tmp_path / name)]) == 0
+        (tmp_path / "b" / "prediction.csv").write_text("garbage\n")
+        with pytest.raises(SystemExit, match="^error: missing required column"):
+            main(["compare", "--results", str(tmp_path / "a" / "summary.json"),
+                  str(tmp_path / "b" / "summary.json"),
+                  "--out", str(tmp_path / "cmp")])
 
     def test_requires_two_results(self, tmp_path):
         with pytest.raises(SystemExit):

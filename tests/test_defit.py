@@ -148,7 +148,7 @@ class TestFitDe:
         path = tmp_path / "fit.csv"
         res.write_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "parameter,value,abs_error,objective,seconds"
+        assert lines[0] == "parameter,value,abs_error,objective"
         assert lines[1].startswith("Vbb,0.065")
 
     def test_inf_candidates_and_budget_stop(self, monkeypatch):

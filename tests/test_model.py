@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from brainpbpk.dataio import PlasmaProfile
-from brainpbpk.model import assemble_matrix, forcing, rhs, rhs_terms
-from brainpbpk.params import DrugParams, ModelVariant, SystemParams
+from brainpbpk.model import assemble_matrix, rhs_terms
+from brainpbpk.params import DrugParams, SystemParams
 
 SYS = SystemParams()
 DRUG = DrugParams()
-
-
-def constant_plasma(value, horizon=48.0):
-    return PlasmaProfile(np.array([0.0, horizon]), np.array([value, value]))
 
 
 class TestAssembleMatrix:
@@ -46,42 +41,20 @@ class TestAssembleMatrix:
         A2 = assemble_matrix(SYS, DRUG)
         assert np.array_equal(A1, A2)
 
-    def test_variants_differ_only_in_two_entries(self):
-        d = DrugParams(CLBin=5.0)  # make the uptake coupling visible
-        A_lit = assemble_matrix(SYS, d, ModelVariant.PAPER_LITERAL)
-        A_mc = assemble_matrix(SYS, d, ModelVariant.MASS_CONSISTENT)
-        diff = A_lit != A_mc
-        assert set(zip(*np.nonzero(diff))) <= {(0, 0), (2, 3)}
-        assert A_mc[2, 3] == -A_lit[2, 3]
-
-
-class TestForcing:
-    def test_constant_profile(self):
-        s = SystemParams(Qbrain=38.0)
-        assert forcing(10.0, s, constant_plasma(1.0)) == 38.0
-
-    def test_zero_flow(self):
-        s = SystemParams(Qbrain=0.0)
-        assert forcing(3.0, s, constant_plasma(5.0)) == 0.0
-
-    def test_reference_flow_times_sample(self):
-        assert forcing(1.0, SYS, constant_plasma(0.05)) == pytest.approx(1.9)
-
 
 class TestRhs:
     def test_zero_state_forced(self):
-        out = rhs(0.0, np.zeros(4), SYS, DRUG, constant_plasma(1.0))
+        out = np.array(rhs_terms(np.zeros(4), 1.0, SYS, DRUG))
         assert out[0] == pytest.approx(38.0 / 0.064952435, rel=1e-12)
         assert out[0] == pytest.approx(585.04, abs=0.01)
         assert np.all(out[1:] == 0.0)
 
     def test_zero_everything(self):
-        out = rhs(0.0, np.zeros(4), SYS, DRUG, constant_plasma(0.0))
+        out = np.array(rhs_terms(np.zeros(4), 0.0, SYS, DRUG))
         assert np.all(out == 0.0)
 
     def test_spinal_only_state(self):
-        out = rhs(0.0, np.array([0, 0, 0, 1.0]), SYS, DRUG,
-                  constant_plasma(0.0))
+        out = np.array(rhs_terms(np.array([0, 0, 0, 1.0]), 0.0, SYS, DRUG))
         expected = -(SYS.Qsout + SYS.Qssink) / SYS.Vscsf
         assert out[3] == pytest.approx(expected, rel=1e-12)
         assert out[3] == pytest.approx(-0.586676, abs=1e-6)
@@ -106,17 +79,16 @@ def random_params(rng):
     return s, d
 
 
-@pytest.mark.parametrize("variant", list(ModelVariant))
-def test_terms_match_matrix_form_randomized(variant):
+def test_terms_match_matrix_form_randomized():
     # term-by-term equations vs theta-matrix assembly, 1000 random draws
     rng = np.random.default_rng(42)
     for _ in range(1000):
         s, d = random_params(rng)
         y = rng.uniform(0, 1, size=4)
         cart = rng.uniform(0, 1)
-        A = assemble_matrix(s, d, variant)
+        A = assemble_matrix(s, d)
         via_matrix = A @ y
         via_matrix[0] += s.Qbrain * cart / s.Vbb
-        via_terms = np.array(rhs_terms(y, cart, s, d, variant))
+        via_terms = np.array(rhs_terms(y, cart, s, d))
         scale = np.maximum(np.abs(via_matrix), 1.0)
         assert np.all(np.abs(via_terms - via_matrix) / scale < 1e-12)

@@ -4,7 +4,7 @@ import pytest
 from brainpbpk.autodiff import Var, backward
 from brainpbpk.network import (ACTIVATIONS, Network, NetworkConfig,
                                fold_scales, forward, forward_dual_tape,
-                               forward_tape, forward_with_time_derivative,
+                               forward_with_time_derivative,
                                init_network, load_network, save_network)
 
 
@@ -75,15 +75,6 @@ class TestForward:
         t = np.array([-1.0, 0.0, 1.0])
         expected = 2.0 * np.maximum(3.0 * t + 1.0, 0.0) + 4.0
         assert np.allclose(forward(net, t), expected)
-
-    @pytest.mark.parametrize("act", ACTIVATIONS)
-    def test_tape_matches_numpy_bitwise(self, act):
-        net = init_network(NetworkConfig(hidden_layers=3, neurons=8,
-                                         activation=act, seed=1))
-        t = np.linspace(0, 1, 11)
-        ws, bs = wrap(net)
-        tape_out = forward_tape(net.config, ws, bs, t)
-        assert np.array_equal(tape_out.value, forward(net, t))
 
     @pytest.mark.parametrize("act", ACTIVATIONS)
     def test_dual_tape_matches_numpy_bitwise(self, act):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from brainpbpk import network as nn
+from brainpbpk import training
 from brainpbpk.autodiff import Var, grad
 from brainpbpk.params import DrugParams, SystemParams, reference_value
 from brainpbpk.solvers import synthesize_dataset
@@ -300,3 +301,21 @@ class TestTrain:
         _, _, art = train(ds, default_estimation_spec(), cfg, tc)
         assert art.loss_iters[-1] > 20
         assert np.all(np.diff(art.loss_iters) > 0)
+
+    def test_lbfgs_stop_recorded(self, monkeypatch):
+        # a sign-flipped gradient makes every trial step go uphill, so the
+        # first line search fails after all its backtracks
+        refine = training.lbfgs_refine
+
+        def uphill(loss_and_grad, x0, max_iters, **kwargs):
+            def flipped(x):
+                f, g = loss_and_grad(x)
+                return f, -g
+            return refine(flipped, x0, max_iters, **kwargs)
+        monkeypatch.setattr(training, "lbfgs_refine", uphill)
+        ds = small_dataset(10)
+        cfg = nn.NetworkConfig(hidden_layers=1, neurons=4, seed=0)
+        tc = TrainConfig(lr=1e-3, iterations=5, lbfgs_iters=10, log_stride=5)
+        _, _, art = train(ds, default_estimation_spec(), cfg, tc)
+        assert art.lbfgs_line_search_failed
+        assert art.lbfgs_iterations == 1
