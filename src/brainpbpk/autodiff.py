@@ -6,6 +6,15 @@ runs one reverse topological sweep. Values are scalars or ndarrays and
 broadcasting follows numpy semantics (adjoints are sum-reduced back to the
 parent's shape).
 
+Adjoints are allocated lazily: a node's ``.grad`` is None until its first
+contribution arrives, which becomes the adjoint as is (later ones are
+added out of place), and a node that never receives one is skipped. The
+sweep does not test edges for NaN/Inf. Every backward closure is linear in
+its adjoint, so a non-finite adjoint reaches a parentless node; finiteness
+is checked once, on the adjoints of the parentless nodes, and only if that
+check fails is the sweep rerun with every edge checked, to name the node
+that produced the first non-finite adjoint (``NonFiniteGradient.op``).
+
 The time-derivative of a network output is obtained by running the forward
 pass on (value, tangent) pairs of Vars; since the tangent arithmetic is
 itself recorded on the tape, one reverse sweep differentiates through it,
@@ -208,14 +217,8 @@ def exp(x: Var) -> Var:
 
 # -- reverse sweep -----------------------------------------------------------
 
-def backward(loss: Var) -> None:
-    """Reverse-topological sweep from a scalar loss, populating .grad on
-    every reachable node. Raises NonFiniteGradient on NaN/Inf adjoints."""
-    if loss.value.size != 1:
-        raise ValueError("backward requires a scalar loss")
-    if not np.isfinite(loss.value):
-        raise NonFiniteGradient(loss.op)
-
+def _topological_order(loss: Var) -> list[Var]:
+    """Every node reachable from ``loss``, each after all of its parents."""
     order: list[Var] = []
     seen: set[int] = set()
     stack = [(loss, False)]
@@ -231,19 +234,40 @@ def backward(loss: Var) -> None:
         for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
+    return order
 
+
+def _sweep(loss: Var, order: list[Var], checked: bool) -> None:
+    """Reset the adjoints of ``order`` and push the loss's back through it.
+    ``checked`` tests every edge and raises at the first non-finite one."""
     for node in order:
-        node.grad = np.zeros_like(node.value)
+        node.grad = None
     loss.grad = np.ones_like(loss.value)
-
     for node in reversed(order):
-        if node._backward is None:
+        g = node.grad
+        if g is None or node._backward is None:
             continue
-        grads = node._backward(node.grad)
-        for parent, g in zip(node.parents, grads):
-            if not np.all(np.isfinite(g)):
+        for parent, pg in zip(node.parents, node._backward(g)):
+            if checked and not np.all(np.isfinite(pg)):
                 raise NonFiniteGradient(node.op)
-            parent.grad = parent.grad + g
+            parent.grad = pg if parent.grad is None else parent.grad + pg
+
+
+def backward(loss: Var) -> None:
+    """Reverse-topological sweep from a scalar loss, populating .grad on
+    every reachable node. Raises NonFiniteGradient on NaN/Inf adjoints,
+    naming the first node (in sweep order) whose backward produced one."""
+    if loss.value.size != 1:
+        raise ValueError("backward requires a scalar loss")
+    if not np.isfinite(loss.value):
+        raise NonFiniteGradient(loss.op)
+    order = _topological_order(loss)
+    _sweep(loss, order, checked=False)
+    # a non-finite adjoint propagates (every backward is linear in its
+    # adjoint), so it reaches some parentless node
+    if not all(np.isfinite(n.grad).all() for n in order
+               if not n.parents and n.grad is not None):
+        _sweep(loss, order, checked=True)
 
 
 def grad(loss: Var, leaves) -> list[np.ndarray]:

@@ -27,6 +27,18 @@ amount form keeps a misfit from getting cheaper as a trainable volume
 grows, which the rate form dC_k/dt - influx_k / V_k does. ``train`` folds
 both scales into the network it returns (``network.fold_scales``), so that
 network maps normalized time t / horizon to concentrations in mg/L.
+
+The tape evaluates all four residuals at once, in matrix form. The net
+influx is linear in (C, Cart), so influx(C, Cart) = M C + q Cart, with the
+amount-rate matrix M = diag(V) A (A from ``model.assemble_matrix``) and the
+forcing coefficient q; with U the (4, N) network output and P = diag(peak),
+
+    R = diag(V) P dU/dt - M P U - q Cart(t)^T.
+
+One tape node (``_rate_node``) maps the raw free parameters to V, M and q,
+evaluating ``model.influx_terms`` on the identity basis of (C, Cart) and
+back-propagating through its exact Jacobian; ``influx_terms`` stays the one
+source of the equations.
 """
 from __future__ import annotations
 
@@ -38,7 +50,6 @@ import numpy as np
 
 from . import network as nn
 from .autodiff import NonFiniteGradient, Var, grad
-from .autodiff import sigmoid as ad_sigmoid
 from .dataio import ConcentrationSeries, PlasmaProfile, RunArtifacts, linear_interp
 from .model import assemble_matrix, influx_terms, volumes
 from .params import (ALL_PARAM_NAMES, DrugParams, SystemParams,
@@ -70,10 +81,6 @@ class BoundedParam:
 def constrain(p: BoundedParam):
     """lo + (hi - lo) * sigmoid(raw); strictly inside (lo, hi)."""
     return p.lo + (p.hi - p.lo) / (1.0 + math.exp(-p.raw))
-
-
-def _constrain_var(p: BoundedParam, raw: Var) -> Var:
-    return p.lo + (p.hi - p.lo) * ad_sigmoid(raw)
 
 
 @dataclass
@@ -196,7 +203,9 @@ def ode_loss(net: nn.Network, spec: EstimationSpec, plasma: PlasmaProfile,
 class _Problem:
     """Precomputed constants shared by every loss evaluation. ``times``
     (hours) are both the data and the collocation times; observations are
-    divided by ``peak``."""
+    divided by ``peak``. ``w_data``, ``w_ic`` and ``w_ode`` are the (4, 1)
+    weight columns of the three terms: w_data / N, w_ic and
+    w_ode / (N * ode_scale^2)."""
 
     cfg: nn.NetworkConfig
     spec: EstimationSpec
@@ -205,9 +214,54 @@ class _Problem:
     obs_u: np.ndarray
     y0_u: np.ndarray
     cart: np.ndarray
-    weights: LossWeights
     peak: np.ndarray
     ode_scale: np.ndarray
+    w_data: np.ndarray
+    w_ic: np.ndarray
+    w_ode: np.ndarray
+
+
+# the influx is linear in (C, Cart): evaluated at C = e_j, Cart = 0 (column
+# j < 4) and at C = 0, Cart = 1 (column 4), it gives the columns of [M | q]
+_BASIS_C = tuple(np.eye(5)[:4])
+_BASIS_CART = np.eye(5)[4]
+# imaginary step of the complex-step derivative in ``_rate_node``
+_COMPLEX_STEP = 1e-30
+
+
+def _rate_node(spec: EstimationSpec, raw_vars) -> Var:
+    """One tape node from the raw free parameters to the (4, 6) array
+    G = [M | q | V]: the amount-rate matrix M = diag(V) A, the forcing
+    coefficient q and the volumes V, so that V * dC/dt = M C + q Cart.
+
+    G comes from ``influx_terms`` (and ``volumes``) evaluated on the basis
+    above, in one complex batch: row 0 holds the constrained parameter
+    values and row 1 + i adds an imaginary step to free parameter i, whose
+    imaginary part is then the exact derivative (complex-step
+    differentiation takes no difference, so nothing cancels). The chain
+    through the sigmoid bound is applied analytically."""
+    free, n = spec.free, len(spec.free)
+    lo = np.array([p.lo for p in free])
+    span = np.array([p.hi for p in free]) - lo
+    s = 1.0 / (1.0 + np.exp(-np.array([r.item() for r in raw_vars])))
+    # (1 + n, n): row 0 the values, row 1 + i steps parameter i
+    batch = (lo + span * s) + 1j * _COMPLEX_STEP * np.eye(1 + n, n, -1)
+    sys_c, drug_c = substitute(
+        spec.base_sys, spec.base_drug,
+        {p.name: batch[:, i, None] for i, p in enumerate(free)})
+    G = np.empty((1 + n, 4, 6), dtype=complex)
+    for k, (j, v) in enumerate(zip(influx_terms(_BASIS_C, _BASIS_CART,
+                                                sys_c, drug_c),
+                                   volumes(sys_c))):
+        G[:, k, :5] = j
+        G[:, k, 5:] = v
+    # d G / d raw_i, flattened to (n, 24)
+    jac = (G[1:].imag / _COMPLEX_STEP).reshape(n, 24) \
+        * (span * s * (1.0 - s))[:, None]
+
+    def back(g):
+        return tuple(jac @ np.ravel(g))
+    return Var(G[0].real, tuple(raw_vars), back, op="rates")
 
 
 def _composite_loss(prob: _Problem, weight_vars, bias_vars, raw_vars):
@@ -215,37 +269,19 @@ def _composite_loss(prob: _Problem, weight_vars, bias_vars, raw_vars):
     docstring); returns (total Var, component floats). One dual forward
     pass gives the network values for the data and IC terms and the time
     derivatives for the ODE residual, which is skipped when every ODE
-    weight is zero."""
-    w = prob.weights
+    weight is zero. Each term is one weighted sum over a (4, N) array, the
+    weights and the 1/N of the means folded into (4, 1) vectors."""
     U, Udot = nn.forward_dual_tape(prob.cfg, weight_vars, bias_vars, prob.times)
-
+    l_data = (prob.w_data * (U - prob.obs_u) ** 2).sum()
+    l_ic = (prob.w_ic * (U[:, :1] - prob.y0_u) ** 2).sum()
     l_ode = 0.0
-    if np.any(w.ode):
-        constrained = {p.name: _constrain_var(p, rv)
-                       for p, rv in zip(prob.spec.free, raw_vars)}
-        sys_r, drug_r = substitute(prob.spec.base_sys, prob.spec.base_drug,
-                                   constrained)
-        peak = prob.peak[:, None]
-        C, Cdot = U * peak, Udot * peak
-        J = influx_terms([C[k] for k in range(4)], prob.cart, sys_r, drug_r)
-        for k, vol in enumerate(volumes(sys_r)):
-            if w.ode[k]:
-                resid = vol * Cdot[k] - J[k]
-                # w * mean((resid / ode_scale)^2), the scale in the weight
-                l_ode = l_ode + float(w.ode[k] / prob.ode_scale[k] ** 2) * (
-                    resid ** 2).mean()
-
-    l_data = 0.0
-    for k in range(4):
-        if w.data[k]:
-            resid = U[k] - prob.obs_u[k]
-            l_data = l_data + float(w.data[k]) * (resid ** 2).mean()
-
-    l_ic = 0.0
-    for k in range(4):
-        if w.ic[k]:
-            r0 = U[k, 0] - prob.y0_u[k]
-            l_ic = l_ic + float(w.ic[k]) * r0 ** 2
+    if np.any(prob.w_ode):
+        G = _rate_node(prob.spec, raw_vars)
+        # one constant node for both products
+        peak = Var(prob.peak[:, None], op="const")
+        resid = (G[:, 5:] * (Udot * peak) - G[:, :4] @ (U * peak)
+                 - G[:, 4:5] * prob.cart)
+        l_ode = (prob.w_ode * resid ** 2).sum()
 
     total = l_data + l_ode + l_ic
     comp = tuple(x.item() if isinstance(x, Var) else float(x)
@@ -269,11 +305,14 @@ def build_problem(dataset: ConcentrationSeries, spec: EstimationSpec,
     mid = {p.name: 0.5 * (p.lo + p.hi) for p in spec.free}
     sys_m, drug_m = substitute(spec.base_sys, spec.base_drug, mid)
     outflow = -np.diag(assemble_matrix(sys_m, drug_m)) * volumes(sys_m)
+    ode_scale = peak * _positive_or_one(outflow)
+    w, n = train_cfg.weights, len(times)
     return _Problem(
         cfg=net_cfg, spec=spec, horizon=float(times[-1]), times=times,
-        obs_u=obs / peak[:, None], y0_u=obs[:, 0] / peak,
-        cart=linear_interp(plasma, times), weights=train_cfg.weights,
-        peak=peak, ode_scale=peak * _positive_or_one(outflow))
+        obs_u=obs / peak[:, None], y0_u=(obs[:, 0] / peak)[:, None],
+        cart=linear_interp(plasma, times), peak=peak, ode_scale=ode_scale,
+        w_data=(w.data / n)[:, None], w_ic=w.ic[:, None],
+        w_ode=(w.ode / (n * ode_scale ** 2))[:, None])
 
 
 # -- optimizers --------------------------------------------------------------
@@ -451,25 +490,30 @@ def train(dataset: ConcentrationSeries, spec: EstimationSpec,
     if train_cfg.lbfgs_iters > 0:
         templates = all_arrays
 
-        def loss_and_grad(flat):
-            arrs = _unpack(flat, templates)
-            total, _, leaves = eval_loss(arrs)
-            return total.item(), _pack(grad(total, leaves))
+        done = 0  # L-BFGS iterations completed
 
-        logged = []
+        def loss_and_grad(flat):
+            total, _, leaves = eval_loss(_unpack(flat, templates))
+            if not np.isfinite(total.value):
+                # an infinite trial loss makes the line search back off
+                return math.inf, np.zeros_like(flat)
+            try:
+                return total.item(), _pack(grad(total, leaves))
+            except NonFiniteGradient as err:
+                raise TrainingDiverged(base_iter + done, artifacts,
+                                       str(err)) from err
 
         def cb(it, f, x):
+            nonlocal done
+            done = it
             if it % train_cfg.log_stride == 0:
-                logged.append((it, x.copy()))
+                arrs = _unpack(x, templates)
+                log(base_iter + it, eval_loss(arrs)[1], arrs)
 
         result = lbfgs_refine(loss_and_grad, _pack(all_arrays),
                               train_cfg.lbfgs_iters, callback=cb)
         artifacts.lbfgs_iterations = result.iterations
         artifacts.lbfgs_line_search_failed = result.line_search_failed
-        for it, x in logged:
-            arrs = _unpack(x, templates)
-            _, comp, _ = eval_loss(arrs)
-            log(base_iter + it, comp, arrs)
         all_arrays = _unpack(result.x, templates)
         _, comp, _ = eval_loss(all_arrays)
         if not artifacts.loss_iters or \

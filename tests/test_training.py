@@ -8,10 +8,11 @@ from brainpbpk import training
 from brainpbpk.autodiff import Var, grad
 from brainpbpk.params import DrugParams, SystemParams, reference_value
 from brainpbpk.solvers import synthesize_dataset
-from brainpbpk.training import (AdamState, BoundedParam, EstimationSpec,
-                                LossWeights, TrainConfig, TrainingDiverged,
-                                _composite_loss, build_problem, constrain,
-                                data_loss, default_estimation_spec, ic_loss,
+from brainpbpk.training import (DEFAULT_FREE, AdamState, BoundedParam,
+                                EstimationSpec, LossWeights, TrainConfig,
+                                TrainingDiverged, _composite_loss,
+                                build_problem, constrain, data_loss,
+                                default_estimation_spec, ic_loss,
                                 lbfgs_refine, ode_loss, train)
 
 
@@ -109,10 +110,16 @@ class TestReferenceLosses:
         assert out == 0.0
 
 
+# free parameter sets of the loss tests: the default one, and one whose
+# rate terms hold the forcing (Qbrain), products of two free parameters
+# (PSB, lam_bb, fubb, CLCin) and a volume outside the default set (Vscsf)
+FREE_SETS = [DEFAULT_FREE, ("Qbrain", "PSB", "lam_bb", "fubb", "CLCin", "Vscsf")]
+
+
 class TestCompositeLoss:
-    def build(self, weights=None, n=10):
+    def build(self, weights=None, n=10, free_names=DEFAULT_FREE):
         ds = small_dataset(n)
-        spec = default_estimation_spec()
+        spec = default_estimation_spec(free_names)
         cfg = nn.NetworkConfig(hidden_layers=2, neurons=6, seed=0)
         tc = TrainConfig(weights=weights or LossWeights())
         prob = build_problem(ds, spec, cfg, tc)
@@ -122,29 +129,47 @@ class TestCompositeLoss:
         rs = [Var(np.asarray(0.0)) for _ in spec.free]
         return prob, net, spec, ds, ws, bs, rs
 
+    @staticmethod
+    def references(prob, net, spec, ds, w):
+        """(data, ode, ic) from the numpy references. The tape works in
+        scaled coordinates; the references see the network as train returns
+        it, with the scales folded in."""
+        folded = nn.fold_scales(net, 48.0, prob.peak)
+        pred = nn.forward(folded, ds.times / 48.0)
+        obs = ds.concentrations()
+        return (data_loss(pred, obs, w.data, prob.peak),
+                ode_loss(folded, spec, ds.plasma_profile(), ds.times, 48.0,
+                         w.ode, scale=prob.ode_scale),
+                ic_loss(pred[:, 0], obs[:, 0], w.ic, prob.peak))
+
     def test_total_is_sum_of_components(self):
         prob, _, _, _, ws, bs, rs = self.build()
         total, (ld, lo, li) = _composite_loss(prob, ws, bs, rs)
         assert total.item() == pytest.approx(ld + lo + li, rel=1e-12)
 
     def test_components_match_numpy_references(self):
-        # the tape works in scaled coordinates; the references see the
-        # network as train returns it, with the scales folded in
-        prob, net, spec, ds, ws, bs, rs = self.build()
-        _, (ld, lo, li) = _composite_loss(prob, ws, bs, rs)
-        w = LossWeights()
-        folded = nn.fold_scales(net, 48.0, prob.peak)
-        pred = nn.forward(folded, ds.times / 48.0)
-        assert ld == pytest.approx(
-            data_loss(pred, ds.concentrations(), w.data, prob.peak),
-            rel=1e-12)
-        assert li == pytest.approx(
-            ic_loss(pred[:, 0], ds.concentrations()[:, 0], w.ic, prob.peak),
-            rel=1e-12)
-        assert lo == pytest.approx(
-            ode_loss(folded, spec, ds.plasma_profile(), ds.times, 48.0, w.ode,
-                     scale=prob.ode_scale),
-            rel=1e-12)
+        for free_names in FREE_SETS:
+            prob, net, spec, ds, ws, bs, rs = self.build(free_names=free_names)
+            _, comp = _composite_loss(prob, ws, bs, rs)
+            assert comp == pytest.approx(
+                self.references(prob, net, spec, ds, LossWeights()), rel=1e-12)
+
+    def test_mixed_weights_and_exact_zeros(self):
+        w = LossWeights(ic=[1.0, 0.0, 2.0, 0.0], ode=[0.0, 2.0, 0.0, 1.0],
+                        data=[3.0, 0.0, 0.0, 1.0])
+        prob, net, spec, ds, ws, bs, rs = self.build(weights=w)
+        _, comp = _composite_loss(prob, ws, bs, rs)
+        assert comp == pytest.approx(
+            self.references(prob, net, spec, ds, w), rel=1e-12)
+        # move only what reaches zero-weight rows: the observations of
+        # compartments 1 and 2 (data) and 1 and 3 (IC), and the plasma,
+        # which enters brain blood's residual alone (ODE)
+        obs_u, y0_u = prob.obs_u.copy(), prob.y0_u.copy()
+        obs_u[1:3] += 1.0
+        y0_u[[1, 3]] += 1.0
+        moved = dataclasses.replace(prob, obs_u=obs_u, y0_u=y0_u,
+                                    cart=prob.cart + 1.0)
+        assert _composite_loss(moved, ws, bs, rs)[1] == comp
 
     def test_scales_from_data_and_bound_midpoints(self):
         prob, _, spec, ds, _, _, _ = self.build()
@@ -175,24 +200,25 @@ class TestCompositeLoss:
         assert np.all(np.isfinite(prob.obs_u))
 
     def test_gradient_matches_finite_differences(self):
-        prob, _, spec, _, ws, bs, rs = self.build(n=8)
-        total, _ = _composite_loss(prob, ws, bs, rs)
-        gs = grad(total, ws + bs + rs)
+        for free_names in FREE_SETS:
+            prob, _, _, _, ws, bs, rs = self.build(n=8, free_names=free_names)
+            total, _ = _composite_loss(prob, ws, bs, rs)
+            gs = grad(total, ws + bs + rs)
 
-        def value(raw_shift, which):
-            rs2 = [Var(np.asarray(raw_shift if i == which else 0.0))
-                   for i in range(len(rs))]
-            t2, _ = _composite_loss(prob, [Var(w.value) for w in ws],
-                                    [Var(b.value) for b in bs], rs2)
-            return t2.item()
+            def value(raw_shift, which):
+                rs2 = [Var(np.asarray(raw_shift if i == which else 0.0))
+                       for i in range(len(rs))]
+                t2, _ = _composite_loss(prob, [Var(w.value) for w in ws],
+                                        [Var(b.value) for b in bs], rs2)
+                return t2.item()
 
-        eps = 1e-6
-        for i in range(len(rs)):
-            fd = (value(eps, i) - value(-eps, i)) / (2 * eps)
-            # central differences lose accuracy when the component is
-            # tiny relative to the total loss, hence the absolute floor
-            assert gs[len(ws) + len(bs) + i] == \
-                pytest.approx(fd, rel=1e-4, abs=1e-6)
+            eps = 1e-6
+            for i in range(len(rs)):
+                fd = (value(eps, i) - value(-eps, i)) / (2 * eps)
+                # central differences lose accuracy when the component is
+                # tiny relative to the total loss, hence the absolute floor
+                assert gs[len(ws) + len(bs) + i] == \
+                    pytest.approx(fd, rel=1e-4, abs=1e-6), (free_names, i)
 
     def test_zero_ode_weight_skips_residual(self):
         w = LossWeights(ode=np.zeros(4))
@@ -319,3 +345,50 @@ class TestTrain:
         _, _, art = train(ds, default_estimation_spec(), cfg, tc)
         assert art.lbfgs_line_search_failed
         assert art.lbfgs_iterations == 1
+
+    # the trial points below overflow the forward pass on purpose
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lbfgs_backs_off_from_nonfinite_trial(self, monkeypatch):
+        # a gradient scaled by 1e200 puts every trial point of the first
+        # line search (steps down to 2^-29) at weights of 1e190 and more,
+        # where the loss overflows; the search must back off and fail, not
+        # raise
+        refine = training.lbfgs_refine
+
+        def far(loss_and_grad, x0, max_iters, **kwargs):
+            def scaled(x):
+                f, g = loss_and_grad(x)
+                return f, 1e200 * g
+            return refine(scaled, x0, max_iters, **kwargs)
+        monkeypatch.setattr(training, "lbfgs_refine", far)
+        ds = small_dataset(10)
+        cfg = nn.NetworkConfig(hidden_layers=1, neurons=4, activation="relu",
+                               seed=0)
+        tc = TrainConfig(lr=1e-3, iterations=5, lbfgs_iters=10, log_stride=5)
+        _, _, art = train(ds, default_estimation_spec(), cfg, tc)
+        assert art.lbfgs_line_search_failed
+        assert art.lbfgs_iterations == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lbfgs_nonfinite_gradient_raises_diverged(self, monkeypatch):
+        # after two L-BFGS iterations, evaluate a point where tiny
+        # first-layer weights (x0[:4]) under huge output weights (x0[4:20])
+        # keep the loss finite while its gradient overflows
+        refine = training.lbfgs_refine
+
+        def overflow(loss_and_grad, x0, max_iters, **kwargs):
+            refine(loss_and_grad, x0, 2, **kwargs)
+            x = x0.copy()
+            x[:4] *= 1e-307
+            x[4:20] *= 1e307
+            loss_and_grad(x)
+        monkeypatch.setattr(training, "lbfgs_refine", overflow)
+        cfg = nn.NetworkConfig(hidden_layers=1, neurons=4, activation="relu",
+                               seed=0)
+        tc = TrainConfig(iterations=0, lbfgs_iters=10, log_stride=1)
+        with pytest.raises(TrainingDiverged) as err:
+            train(small_dataset(10), default_estimation_spec(), cfg, tc)
+        assert err.value.iteration == 2
+        assert "non-finite gradient" in str(err.value)
+        # the L-BFGS iterations logged before the failure are kept
+        assert err.value.artifacts.loss_iters == [0, 1, 2]
