@@ -31,12 +31,13 @@ from .dataio import (ConcentrationSeries, DataIOError, emit_plot, read_series,
                      write_series)
 from .defit import DEConfig, fit_de
 from .metrics import write_summaries
-from .model import COMPARTMENTS, assemble_matrix
+from .model import COMPARTMENTS
 from .params import (ALL_PARAM_NAMES, DrugParams, ModelVariant, SystemParams,
                      reference_value, substitute)
-from .solvers import PlasmaSpec, SolverError, expm_propagate, synthesize_dataset
-from .training import (DEFAULT_FREE, LossWeights, TrainConfig, TrainingDiverged,
-                       default_estimation_spec, train)
+from .solvers import (InitialState, PlasmaSpec, SolveConfig, SolverError, solve,
+                      synthesize_dataset)
+from .training import (DEFAULT_FREE, EstimationSpec, LossWeights, TrainConfig,
+                       TrainingDiverged, default_estimation_spec, train)
 
 
 def _outdir(path: str) -> Path:
@@ -55,14 +56,22 @@ def _parse_free(arg: str) -> list[str]:
     return names
 
 
-def _parse_bounds_scale(arg: str) -> tuple[float, float]:
+def _estimation_spec(args) -> EstimationSpec:
+    """The --free parameters boxed by --bounds-scale; every box must lie in
+    its parameter's valid range."""
     try:
-        lo, hi = (float(x) for x in arg.split(","))
+        lo, hi = (float(x) for x in args.bounds_scale.split(","))
     except ValueError:
         raise SystemExit("error: --bounds-scale expects LO,HI") from None
     if not 0 < lo < hi:
         raise SystemExit("error: --bounds-scale requires 0 < LO < HI")
-    return lo, hi
+    try:
+        spec = default_estimation_spec(_parse_free(args.free), (lo, hi))
+        spec.check_bounds()
+    except ValueError as err:
+        raise SystemExit(f"error: --bounds-scale {args.bounds_scale}: {err}") \
+            from None
+    return spec
 
 
 def _read_dataset(path, need_plasma: bool = False) -> ConcentrationSeries:
@@ -141,12 +150,10 @@ def _write_summary(out: Path, label: str, names, values, abs_errors,
 
 
 def cmd_train(args) -> int:
-    free_names = _parse_free(args.free)
-    bounds = _parse_bounds_scale(args.bounds_scale)
+    spec = _estimation_spec(args)
     out = _outdir(args.out)
     dataset = _read_dataset(args.data, need_plasma=True)
 
-    spec = default_estimation_spec(free_names, bounds)
     reference = _reference_from_manifest(args.data)
     net_cfg = nn.NetworkConfig(hidden_layers=args.layers, neurons=args.neurons,
                                activation=args.activation,
@@ -207,12 +214,10 @@ def cmd_train(args) -> int:
 # -- fit-de ------------------------------------------------------------------
 
 def cmd_fit_de(args) -> int:
-    free_names = _parse_free(args.free)
-    bounds = _parse_bounds_scale(args.bounds_scale)
+    spec = _estimation_spec(args)
     out = _outdir(args.out)
     dataset = _read_dataset(args.data, need_plasma=True)
 
-    spec = default_estimation_spec(free_names, bounds)
     cfg = DEConfig(population=args.population, generations=args.generations,
                    seed=args.seed)
     reference = _reference_from_manifest(args.data)
@@ -221,10 +226,10 @@ def cmd_fit_de(args) -> int:
 
     sys_c, drug_c = substitute(spec.base_sys, spec.base_drug,
                                dict(zip(result.names, result.values)))
-    A = assemble_matrix(sys_c, drug_c)
     try:
-        pred = expm_propagate(A, np.zeros(4), dataset.plasma_profile(), sys_c,
-                              dataset.times)
+        pred = solve(sys_c, drug_c, dataset.plasma_profile(),
+                     ModelVariant.PAPER_LITERAL, InitialState(),
+                     SolveConfig(grid=dataset.times))
     except SolverError as err:
         raise SystemExit(f"error: {err}") from None
     write_series(pred, out / "prediction.csv")

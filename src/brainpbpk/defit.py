@@ -4,12 +4,12 @@ Classic rand/1/bin: mutant v = a + F*(b - c) over three distinct random
 members, binomial crossover with a guaranteed mutated coordinate, greedy
 selection. Out-of-bounds coordinates are reflected back into the box.
 
-The objective scores a whole population at once, ``(P, d) -> (P,)``: each
-candidate is validated and turned into its rate matrix on its own, then
-all of them are forward-solved together on the dataset's time grid by one
-batched exact propagation, and each scores the sum of squared residuals
-over all compartments. A candidate that fails validation or whose solve
-is not finite scores +inf without affecting the others.
+The objective scores a whole population at once, ``(P, d) -> (P,)``: one
+``model.rates`` call and one elementwise range check cover every candidate,
+one batched exact propagation solves the valid ones on the dataset's time
+grid, and each scores the sum of squared residuals over all compartments.
+A candidate that fails validation or whose rates or solve are not finite
+scores +inf without affecting the others.
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import ConcentrationSeries
-from .model import assemble_matrix
-from .params import reference_value, substitute
+from .model import rates
+from .params import in_range, reference_value, substitute
 from .solvers import propagate_states
 from .training import EstimationSpec
 
@@ -76,27 +76,26 @@ def population_sse(population, spec: EstimationSpec,
     if plasma is None:
         plasma = dataset.plasma_profile()
     population = np.asarray(population, dtype=float)
-    sse = np.full(len(population), np.inf)
-    rows, mats, scales = [], [], []
-    for i, x in enumerate(population):
-        try:
-            sys_c, drug_c = substitute(spec.base_sys, spec.base_drug,
-                                       dict(zip(spec.names, x)))
-            mats.append(assemble_matrix(sys_c, drug_c))
-            scales.append(sys_c.Qbrain / sys_c.Vbb)
-        except (ValueError, OverflowError):
-            continue
-        rows.append(i)
-    A, b = np.array(mats).reshape(-1, 4, 4), np.array(scales)
-    finite = np.all(np.isfinite(A), axis=(1, 2)) & np.isfinite(b)
-    rows = np.array(rows, dtype=int)[finite]
-    if rows.size:
-        pred = propagate_states(A[finite], b[finite], np.zeros(4), plasma,
+    n = len(population)
+    valid = np.ones(n, dtype=bool)
+    for name, column in zip(spec.names, population.T):
+        valid &= in_range(name, column)
+    columns = dict(zip(spec.names, population.T[..., None]))
+    # rows out of range or with tiny volumes may divide by zero or
+    # overflow; they score +inf below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        M, q, V = rates(*substitute(spec.base_sys, spec.base_drug, columns))
+        A = np.broadcast_to(M / V[..., None], (n, 4, 4))
+        f = np.broadcast_to(q / V, (n, 4))
+    valid &= np.isfinite(A).all(axis=(1, 2)) & np.isfinite(f).all(axis=1)
+    sse = np.full(n, np.inf)
+    if valid.any():
+        pred = propagate_states(A[valid], f[valid], np.zeros(4), plasma,
                                 dataset.times)
         with np.errstate(over="ignore", invalid="ignore"):
             resid = pred - dataset.concentrations()
             scores = np.sum(resid * resid, axis=(1, 2))
-        sse[rows] = np.where(np.isfinite(scores), scores, np.inf)
+        sse[valid] = np.where(np.isfinite(scores), scores, np.inf)
     return sse
 
 

@@ -1,14 +1,12 @@
-"""Rate matrix and right-hand side of the brain model.
-
-Both follow the printed mass-balance equations term by term (the paper's
+"""Mass balances of the brain model, as printed term by term (the paper's
 sign convention): the uptake-transporter term CLBin enters brain blood as
 an influx and the spinal-to-cranial return flow Qsout leaves cranial CSF
 as an efflux.
 
-Two independent formulations are kept deliberately: ``influx_terms`` writes
-the four mass balances term by term (``rhs_terms`` divides them by the
-volumes), while ``assemble_matrix`` builds the 4x4 rate-coefficient matrix.
-The test suite checks that both agree for random parameter draws.
+``influx_terms`` writes the four balances; ``rates``, their linear form, is
+the one formulation the solvers, the DE objective and the PINN residual
+use. ``assemble_matrix`` (the 4x4 rate-coefficient matrix) and
+``rhs_terms`` are an independent second formulation, kept as test oracles.
 
 State ordering everywhere: (Cbb, Cbm, Cccsf, Cscsf) -- brain blood, brain
 mass, cranial CSF, spinal CSF, all in mg/L.
@@ -24,7 +22,7 @@ COMPARTMENTS = ("Cbb", "Cbm", "Cccsf", "Cscsf")
 
 def assemble_matrix(sys: SystemParams, drug: DrugParams) -> np.ndarray:
     """4x4 rate-coefficient matrix A (1/h) such that
-    Y' = A Y + (Qbrain/Vbb) Cart(t) e1."""
+    Y' = A Y + (Qbrain/Vbb) Cart(t) e1; a test oracle for ``rates``."""
     s, d = sys, drug
     A = np.zeros((4, 4))
 
@@ -101,6 +99,33 @@ def influx_terms(Y, cart, sys: SystemParams, drug: DrugParams):
 def volumes(sys: SystemParams):
     """Compartment volumes (L) in state order."""
     return sys.Vbb, sys.Vbm, sys.Vccsf, sys.Vscsf
+
+
+# the influx is linear in (C, Cart): evaluated at C = e_j, Cart = 0 (column
+# j < 4) and at C = 0, Cart = 1 (column 4), it gives the columns of [M | q]
+_BASIS_C = tuple(np.eye(5)[:4])
+_BASIS_CART = np.eye(5)[4]
+
+
+def rates(sys: SystemParams, drug: DrugParams):
+    """The amount-rate matrix M, forcing coefficients q (both L/h) and
+    volumes V (L) of V dC/dt = M C + q Cart, from ``influx_terms`` on the
+    basis above. Parameters may be floats or ``(..., 1)`` columns, real or
+    complex; M is then ``(..., 4, 4)`` and q and V ``(..., 4)``, with a
+    batch axis only where some column varies along it.
+
+    Open question: ``QbulkCB`` (CSF to brain mass) is validated and written
+    to manifests but enters no equation; the abstract does not settle
+    whether a term is missing, so none is added.
+    """
+    J = influx_terms(_BASIS_C, _BASIS_CART, sys, drug)
+    V = volumes(sys)
+    batch = np.broadcast(*J, *V).shape[:-1]  # J ends in the basis axis
+    G = np.empty(batch + (4, 6), dtype=np.result_type(*J, *V))
+    for k, (j, v) in enumerate(zip(J, V)):
+        G[..., k, :5] = j
+        G[..., k, 5:] = v
+    return G[..., :4], G[..., 4], G[..., 5]
 
 
 def rhs_terms(Y, cart, sys: SystemParams, drug: DrugParams):

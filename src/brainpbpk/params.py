@@ -28,10 +28,32 @@ _FLOW_FIELDS = ("Qbrain", "Qcsink", "Qssink", "QbulkBC", "QbulkCB",
 _CLEARANCE_FIELDS = ("CLBin", "CLBout", "CLCin", "CLCout", "CLmet")
 _FRACTION_FIELDS = ("fubb", "fubm", "fuccsf", "lam_bb", "lam_bm", "lam_ccsf")
 
+# valid range of each kind of parameter: a test that works elementwise on
+# floats and arrays (NaN fails it), and the error message
+_RULES = (
+    (_VOLUME_FIELDS, lambda v: v > 0, "volume {} must be strictly positive"),
+    (_FLOW_FIELDS, lambda v: v >= 0, "flow {} must be non-negative"),
+    (_CLEARANCE_FIELDS, lambda v: v >= 0, "clearance {} must be non-negative"),
+    (_FRACTION_FIELDS, lambda v: (0.0 <= v) & (v <= 1.0),
+     "fraction {} must lie in [0, 1]"),
+)
+_RULE_OF = {name: (test, message.format(name))
+            for names, test, message in _RULES for name in names}
 
-def _all_real(obj) -> bool:
-    return all(isinstance(getattr(obj, f.name), (int, float))
-               for f in dataclasses.fields(obj))
+
+def in_range(name: str, value):
+    """Elementwise: whether ``value`` is in the valid range of ``name``."""
+    return _RULE_OF[name][0](value)
+
+
+def _check_fields(obj) -> None:
+    # Validation only applies to plain numeric instances; autodiff variables
+    # and arrays may be substituted for free parameters.
+    fields = dataclasses.fields(obj)
+    if all(isinstance(getattr(obj, f.name), (int, float)) for f in fields):
+        for f in fields:
+            if not in_range(f.name, getattr(obj, f.name)):
+                raise ValueError(_RULE_OF[f.name][1])
 
 
 @dataclass(frozen=True)
@@ -56,17 +78,7 @@ class SystemParams:
     PSC: float = 67.5
     PSE: float = 300.0
 
-    def __post_init__(self):
-        # Validation only applies to plain numeric instances; autodiff
-        # variables may be substituted for free parameters during training.
-        if not _all_real(self):
-            return
-        for name in _VOLUME_FIELDS:
-            if not getattr(self, name) > 0:
-                raise ValueError(f"volume {name} must be strictly positive")
-        for name in _FLOW_FIELDS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"flow {name} must be non-negative")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -88,16 +100,7 @@ class DrugParams:
     lam_bm: float = 0.017
     lam_ccsf: float = 0.026
 
-    def __post_init__(self):
-        if not _all_real(self):
-            return
-        for name in _CLEARANCE_FIELDS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"clearance {name} must be non-negative")
-        for name in _FRACTION_FIELDS:
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"fraction {name} must lie in [0, 1]")
+    __post_init__ = _check_fields
 
 
 SYSTEM_PARAM_NAMES = tuple(f.name for f in dataclasses.fields(SystemParams))

@@ -1,8 +1,10 @@
 """Forward solution of the brain model.
 
-Three routes: classic fixed-step RK4, adaptive Dormand-Prince 5(4), and an
-exact matrix-exponential propagator that exploits the linearity of the
-system with piecewise-linear forcing (used as the ground-truth oracle).
+Every route solves Y' = A Y + f Cart(t), with the state matrix A = M / V
+and the forcing vector f = q / V from ``model.rates``. Three routes:
+classic fixed-step RK4, adaptive Dormand-Prince 5(4), and an exact
+matrix-exponential propagator that exploits the linearity of the system
+with piecewise-linear forcing (used as the ground-truth oracle).
 
 The exact propagator works on a stack of rate matrices at once
 (``propagate_states``), so the DE objective scores a whole population in
@@ -20,7 +22,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .dataio import ConcentrationSeries, PlasmaProfile, linear_interp
-from .model import assemble_matrix
+from .model import rates
 from .params import DrugParams, ModelVariant, SystemParams
 
 
@@ -165,15 +167,14 @@ def solve(sys: SystemParams, drug: DrugParams, plasma: PlasmaProfile,
     grid = cfg.grid
     if grid[0] < init.t0 - 1e-12:
         raise ValueError("output grid must start at or after t0")
-    A = assemble_matrix(sys, drug)
-    scale = sys.Qbrain / sys.Vbb
-    e1 = np.array([1.0, 0.0, 0.0, 0.0])
+    M, q, V = rates(sys, drug)
+    A, forcing = M / V[:, None], q / V
 
     if cfg.method is Method.EXPM_ORACLE:
-        return expm_propagate(A, init.Y0, plasma, sys, grid, t0=init.t0)
+        return expm_propagate(A, forcing, init.Y0, plasma, grid, t0=init.t0)
 
     def f(t, y):
-        return A @ y + (scale * linear_interp(plasma, t)) * e1
+        return A @ y + linear_interp(plasma, t) * forcing
 
     if cfg.method is Method.RK4:
         states = rk4_solve(f, init.Y0, init.t0, grid, cfg.h)
@@ -182,27 +183,27 @@ def solve(sys: SystemParams, drug: DrugParams, plasma: PlasmaProfile,
     return _series_from(grid, states, plasma)
 
 
-def _transition_ops(A: np.ndarray, b: np.ndarray, dts: np.ndarray):
+def _transition_ops(A: np.ndarray, f: np.ndarray, dts: np.ndarray):
     """State transitions Phi plus forcing responses Psi0, Psi1 per step length.
 
     Over a step of length dt with plasma Cart(s) = c0 + c1*s, the forcing
-    b * Cart(s) enters component 1 and the exact update is
-    y+ = Phi y + c0*Psi0 + c1*Psi1. All three come from one augmented 6x6
-    matrix exponential whose constant-forcing column carries b, so every
-    matrix of the stack ``A (..., 4, 4)`` with scale ``b (...)`` gets its own
-    exponential. One batched ``expm`` call covers every matrix and every
-    step length; the step-length axis comes first in the results.
+    is f * Cart(s) and the exact update is y+ = Phi y + c0*Psi0 + c1*Psi1.
+    All three come from one augmented 6x6 matrix exponential whose
+    constant-forcing column carries f, so every matrix of the stack
+    ``A (..., 4, 4)`` with forcing ``f (..., 4)`` gets its own exponential.
+    One batched ``expm`` call covers every matrix and every step length;
+    the step-length axis comes first in the results.
     """
     M = np.zeros(A.shape[:-2] + (dts.size, 6, 6))
     M[..., :4, :4] = A[..., None, :, :]
-    M[..., 0, 4] = b[..., None]  # constant-forcing column (component 1)
+    M[..., :4, 4] = f[..., None, :]  # constant-forcing column
     M[..., 4, 5] = 1.0  # d/ds of the ramp weight
     E = np.moveaxis(expm(M * dts[:, None, None]), -3, 0)
     return (np.ascontiguousarray(E[..., :4, :4]), E[..., :4, 4:5],
             E[..., :4, 5:6])
 
 
-def _propagate(A, b, y0, plasma: PlasmaProfile, grid: np.ndarray, t0: float):
+def _propagate(A, f, y0, plasma: PlasmaProfile, grid: np.ndarray, t0: float):
     """Breakpoints and the states at each of them, shape (n, ..., 4).
 
     Intervals are split at plasma knots so the forcing is affine on each
@@ -211,7 +212,7 @@ def _propagate(A, b, y0, plasma: PlasmaProfile, grid: np.ndarray, t0: float):
     matrix, not one per step. Non-finite states are left in place for the
     caller to judge.
     """
-    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    A, f = np.asarray(A, dtype=float), np.asarray(f, dtype=float)
     knots = plasma.times[(plasma.times > t0) & (plasma.times < grid[-1])]
     breakpoints = np.unique(np.concatenate([[t0], grid, knots]))
     breakpoints = breakpoints[breakpoints >= t0 - 1e-15]
@@ -219,7 +220,7 @@ def _propagate(A, b, y0, plasma: PlasmaProfile, grid: np.ndarray, t0: float):
     dts = np.diff(breakpoints)
     _, first, step_op = np.unique(np.round(dts, 14), return_index=True,
                                   return_inverse=True)
-    Phi, Psi0, Psi1 = _transition_ops(A, b, dts[first])
+    Phi, Psi0, Psi1 = _transition_ops(A, f, dts[first])
     cart = np.interp(breakpoints, plasma.times, plasma.values)
     c0, c1 = cart[:-1], np.diff(cart) / dts
     per_step = (-1,) + (1,) * (Psi0.ndim - 1)
@@ -236,29 +237,28 @@ def _propagate(A, b, y0, plasma: PlasmaProfile, grid: np.ndarray, t0: float):
     return breakpoints, states[..., 0]
 
 
-def propagate_states(A, b, y0, plasma: PlasmaProfile, grid,
+def propagate_states(A, f, y0, plasma: PlasmaProfile, grid,
                      t0: float = 0.0) -> np.ndarray:
-    """Exact propagation of Y' = A Y + b Cart(t) e1 for a stack of systems.
+    """Exact propagation of Y' = A Y + f Cart(t) for a stack of systems.
 
-    ``A`` is ``(..., 4, 4)`` and ``b`` the matching ``(...)`` forcing scales
-    (Qbrain/Vbb); every system starts from ``y0``. Returns the states on the
+    ``A`` is ``(..., 4, 4)`` and ``f`` the matching ``(..., 4)`` forcing
+    vectors; every system starts from ``y0``. Returns the states on the
     grid as ``(..., 4, len(grid))``, the layout of
     ``ConcentrationSeries.concentrations``. A system that blows up yields
     non-finite entries rather than an exception.
     """
     grid = np.asarray(grid, dtype=float)
-    breakpoints, states = _propagate(A, b, y0, plasma, grid, t0)
+    breakpoints, states = _propagate(A, f, y0, plasma, grid, t0)
     return np.moveaxis(states[np.searchsorted(breakpoints, grid)], 0, -1)
 
 
-def expm_propagate(A: np.ndarray, y0, plasma: PlasmaProfile, sys: SystemParams,
+def expm_propagate(A: np.ndarray, f: np.ndarray, y0, plasma: PlasmaProfile,
                    grid, t0: float = 0.0) -> ConcentrationSeries:
-    """Exact propagation of Y' = A Y + (Qbrain/Vbb) Cart(t) e1 on the grid,
-    for one rate matrix; raises NonFiniteState at the first breakpoint
-    where the state is not finite."""
+    """Exact propagation of Y' = A Y + f Cart(t) on the grid, for one state
+    matrix ``A (4, 4)`` and forcing vector ``f (4,)``; raises
+    NonFiniteState at the first breakpoint where the state is not finite."""
     grid = np.asarray(grid, dtype=float)
-    breakpoints, states = _propagate(A, sys.Qbrain / sys.Vbb, y0, plasma,
-                                     grid, t0)
+    breakpoints, states = _propagate(A, f, y0, plasma, grid, t0)
     bad = ~np.all(np.isfinite(states), axis=1)
     if bad.any():
         raise NonFiniteState(
@@ -304,8 +304,8 @@ def synthesize_dataset(sys: SystemParams, drug: DrugParams,
 
     grid = np.linspace(0.0, horizon, n_points)
     plasma = plasma_spec.sample(grid)
-    A = assemble_matrix(sys, drug)
-    series = expm_propagate(A, np.zeros(4), plasma, sys, grid)
+    series = solve(sys, drug, plasma, ModelVariant.PAPER_LITERAL,
+                   InitialState(), SolveConfig(grid=grid))
     if noise_sd == 0.0:
         return series
 

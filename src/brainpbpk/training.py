@@ -11,8 +11,8 @@ The loss is nondimensionalized with scales fixed once per problem by
 
 * ``peak_k``, the largest observed |C_k| of compartment k;
 * ``ode_scale_k = peak_k * CL_k``, where CL_k is the total outflow
-  clearance of compartment k (L/h, minus V_k times the diagonal of the
-  rate matrix) with every free parameter at its bound midpoint.
+  clearance of compartment k (L/h, minus the diagonal of the amount-rate
+  matrix M below) with every free parameter at its bound midpoint.
 
 The trained network sees time t in hours and emits u_k = C_k / peak_k.
 With per-compartment weights w, the three loss components are
@@ -30,15 +30,13 @@ network maps normalized time t / horizon to concentrations in mg/L.
 
 The tape evaluates all four residuals at once, in matrix form. The net
 influx is linear in (C, Cart), so influx(C, Cart) = M C + q Cart, with the
-amount-rate matrix M = diag(V) A (A from ``model.assemble_matrix``) and the
-forcing coefficient q; with U the (4, N) network output and P = diag(peak),
+amount-rate matrix M and the forcing coefficients q of ``model.rates``;
+with V the volumes, U the (4, N) network output and P = diag(peak),
 
     R = diag(V) P dU/dt - M P U - q Cart(t)^T.
 
-One tape node (``_rate_node``) maps the raw free parameters to V, M and q,
-evaluating ``model.influx_terms`` on the identity basis of (C, Cart) and
-back-propagating through its exact Jacobian; ``influx_terms`` stays the one
-source of the equations.
+One tape node (``_rate_node``) maps the raw free parameters to V, M and q
+through ``model.rates`` and back-propagates through its exact Jacobian.
 """
 from __future__ import annotations
 
@@ -50,8 +48,8 @@ import numpy as np
 
 from . import network as nn
 from .autodiff import NonFiniteGradient, Var, grad
-from .dataio import ConcentrationSeries, PlasmaProfile, RunArtifacts, linear_interp
-from .model import assemble_matrix, influx_terms, volumes
+from .dataio import ConcentrationSeries, RunArtifacts, linear_interp
+from .model import rates
 from .params import (ALL_PARAM_NAMES, DrugParams, SystemParams,
                      reference_value, substitute)
 
@@ -106,6 +104,13 @@ class EstimationSpec:
     def constrained_values(self) -> dict[str, float]:
         return {p.name: constrain(p) for p in self.free}
 
+    def check_bounds(self) -> None:
+        """Raise ValueError unless every box [lo, hi] is in its parameter's
+        valid range."""
+        for end in ("lo", "hi"):
+            substitute(self.base_sys, self.base_drug,
+                       {p.name: getattr(p, end) for p in self.free})
+
     def realized(self):
         """(SystemParams, DrugParams) with constrained free values applied."""
         return substitute(self.base_sys, self.base_drug, self.constrained_values())
@@ -157,46 +162,6 @@ class TrainConfig:
             raise ValueError("log stride must be >= 1")
 
 
-# -- individual losses (numpy reference versions used in tests) --------------
-
-def _scaled_mse(resid: np.ndarray, weights: np.ndarray, scale) -> float:
-    """sum_k w_k * mean((resid_k / scale_k)^2); scale None means 1."""
-    scale = np.ones(len(weights)) if scale is None else scale
-    return float(sum(w * np.mean((resid[k] / scale[k]) ** 2)
-                     for k, w in enumerate(weights)))
-
-
-def data_loss(pred: np.ndarray, obs: np.ndarray, weights: np.ndarray,
-              scale=None) -> float:
-    """Sum over compartments of per-compartment weighted MSE over points,
-    of the misfit divided by that compartment's scale (the peak)."""
-    return _scaled_mse(pred - obs, weights, scale)
-
-
-def ic_loss(pred0: np.ndarray, y0: np.ndarray, weights: np.ndarray,
-            scale=None) -> float:
-    """Weighted squared initial-condition misfit, divided by the scale."""
-    return _scaled_mse((pred0 - y0)[:, None], weights, scale)
-
-
-def ode_loss(net: nn.Network, spec: EstimationSpec, plasma: PlasmaProfile,
-             collocation_times: np.ndarray, horizon: float,
-             weights: np.ndarray, scale=None) -> float:
-    """Mean squared amount-form ODE residual V_k * dC_k/dt - influx_k per
-    equation, divided by ``scale`` (the ODE scale), lambda-weighted. ``net``
-    maps t / horizon to concentrations, as ``train`` returns it (numpy
-    path)."""
-    t = np.asarray(collocation_times, dtype=float)
-    Y, Ydot_hat = nn.forward_with_time_derivative(net, t / horizon)
-    dYdt = Ydot_hat / horizon
-    cart = linear_interp(plasma, t)
-    sys_r, drug_r = spec.realized()
-    J = influx_terms((Y[0], Y[1], Y[2], Y[3]), cart, sys_r, drug_r)
-    resid = np.array([v * dYdt[k] - J[k]
-                      for k, v in enumerate(volumes(sys_r))])
-    return _scaled_mse(resid, weights, scale)
-
-
 # -- composite tape loss -----------------------------------------------------
 
 @dataclass
@@ -221,40 +186,32 @@ class _Problem:
     w_ode: np.ndarray
 
 
-# the influx is linear in (C, Cart): evaluated at C = e_j, Cart = 0 (column
-# j < 4) and at C = 0, Cart = 1 (column 4), it gives the columns of [M | q]
-_BASIS_C = tuple(np.eye(5)[:4])
-_BASIS_CART = np.eye(5)[4]
 # imaginary step of the complex-step derivative in ``_rate_node``
 _COMPLEX_STEP = 1e-30
 
 
 def _rate_node(spec: EstimationSpec, raw_vars) -> Var:
     """One tape node from the raw free parameters to the (4, 6) array
-    G = [M | q | V]: the amount-rate matrix M = diag(V) A, the forcing
-    coefficient q and the volumes V, so that V * dC/dt = M C + q Cart.
+    G = [M | q | V] of ``model.rates``: the amount-rate matrix M, the
+    forcing coefficients q and the volumes V, so that
+    V * dC/dt = M C + q Cart.
 
-    G comes from ``influx_terms`` (and ``volumes``) evaluated on the basis
-    above, in one complex batch: row 0 holds the constrained parameter
-    values and row 1 + i adds an imaginary step to free parameter i, whose
-    imaginary part is then the exact derivative (complex-step
-    differentiation takes no difference, so nothing cancels). The chain
-    through the sigmoid bound is applied analytically."""
+    G comes from one ``rates`` call on a complex batch: row 0 holds the
+    constrained parameter values and row 1 + i adds an imaginary step to
+    free parameter i, whose imaginary part is then the exact derivative
+    (complex-step differentiation takes no difference, so nothing
+    cancels). The chain through the sigmoid bound is applied
+    analytically."""
     free, n = spec.free, len(spec.free)
     lo = np.array([p.lo for p in free])
     span = np.array([p.hi for p in free]) - lo
     s = 1.0 / (1.0 + np.exp(-np.array([r.item() for r in raw_vars])))
     # (1 + n, n): row 0 the values, row 1 + i steps parameter i
     batch = (lo + span * s) + 1j * _COMPLEX_STEP * np.eye(1 + n, n, -1)
-    sys_c, drug_c = substitute(
+    M, q, V = rates(*substitute(
         spec.base_sys, spec.base_drug,
-        {p.name: batch[:, i, None] for i, p in enumerate(free)})
-    G = np.empty((1 + n, 4, 6), dtype=complex)
-    for k, (j, v) in enumerate(zip(influx_terms(_BASIS_C, _BASIS_CART,
-                                                sys_c, drug_c),
-                                   volumes(sys_c))):
-        G[:, k, :5] = j
-        G[:, k, 5:] = v
+        {p.name: batch[:, i, None] for i, p in enumerate(free)}))
+    G = np.concatenate([M, q[..., None], V[..., None]], axis=-1)
     # d G / d raw_i, flattened to (n, 24)
     jac = (G[1:].imag / _COMPLEX_STEP).reshape(n, 24) \
         * (span * s * (1.0 - s))[:, None]
@@ -297,14 +254,17 @@ def build_problem(dataset: ConcentrationSeries, spec: EstimationSpec,
                   net_cfg: nn.NetworkConfig, train_cfg: TrainConfig) -> _Problem:
     """Loss constants, including the peak and ODE scales of the module
     docstring. A scale that would be zero (a compartment never observed
-    above zero, or one without outflow) is replaced by 1."""
+    above zero, or one without outflow) is replaced by 1. Raises
+    ValueError if a free parameter's box leaves its valid range, which the
+    sigmoid bound would otherwise let training reach."""
+    spec.check_bounds()
     plasma = dataset.plasma_profile()
     times = dataset.times
     obs = dataset.concentrations()
     peak = _positive_or_one(np.max(np.abs(obs), axis=1))
     mid = {p.name: 0.5 * (p.lo + p.hi) for p in spec.free}
-    sys_m, drug_m = substitute(spec.base_sys, spec.base_drug, mid)
-    outflow = -np.diag(assemble_matrix(sys_m, drug_m)) * volumes(sys_m)
+    M, _, _ = rates(*substitute(spec.base_sys, spec.base_drug, mid))
+    outflow = -np.diag(M)
     ode_scale = peak * _positive_or_one(outflow)
     w, n = train_cfg.weights, len(times)
     return _Problem(

@@ -100,6 +100,16 @@ class TestTrain:
             main(["train", "--data", str(tmp_path / "nope.csv"),
                   "--out", str(tmp_path)])
 
+    def test_box_outside_valid_range_is_an_error(self, dataset_dir, tmp_path):
+        # fuccsf (reference 1) boxed in [0.5, 2]: the sigmoid bound would
+        # let training reach fractions above 1
+        with pytest.raises(SystemExit, match=r"^error: .*fuccsf"):
+            main(["train", "--data", str(dataset_dir / "dataset.csv"),
+                  "--free", "fuccsf", "--layers", "1", "--neurons", "4",
+                  "--iters", "1", "--lbfgs-iters", "0",
+                  "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
 
 class TestFitDe:
     def test_two_parameter_fit(self, dataset_dir, tmp_path):
@@ -129,6 +139,14 @@ class TestFitDe:
         with pytest.raises(SystemExit, match="^error: .*manifest.json"):
             main(["fit-de", "--data", str(data), "--free", "Vbb",
                   "--generations", "1", "--out", str(tmp_path / "out")])
+
+    def test_box_outside_valid_range_is_an_error(self, dataset_dir, tmp_path):
+        # no candidate in [1.5, 2] x fuccsf is a valid fraction
+        with pytest.raises(SystemExit, match=r"^error: .*fuccsf"):
+            main(["fit-de", "--data", str(dataset_dir / "dataset.csv"),
+                  "--free", "fuccsf", "--bounds-scale", "1.5,2",
+                  "--generations", "1", "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweep:

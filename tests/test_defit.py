@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from brainpbpk.params import DrugParams, SystemParams
+from brainpbpk.params import (ALL_PARAM_NAMES, DrugParams, SystemParams,
+                              reference_value, substitute)
 from brainpbpk.solvers import synthesize_dataset
 from brainpbpk import defit
 from brainpbpk.defit import (DEConfig, EstimationResult, _reflect,
@@ -129,6 +130,47 @@ class TestPopulationSse:
         for i in (0, 1, 3):
             assert sse[i] == pytest.approx(sse_objective(pop[i], spec, ds),
                                            rel=1e-13, abs=1e-30)
+
+    # values of each kind of parameter that fail validation, and one that
+    # passes at or near the edge of the valid range
+    BAD = {"volume": (0.0, -1.0, np.nan), "flow": (-1.0, np.nan),
+           "clearance": (-1.0, np.nan), "fraction": (-0.1, 1.5, np.nan)}
+    EDGE = {"volume": 1e-3, "flow": 0.0, "clearance": 0.0, "fraction": 1.0}
+
+    @staticmethod
+    def kind(name):
+        if name.startswith("V"):
+            return "volume"
+        if name.startswith(("Q", "PS")):
+            return "flow"
+        return "clearance" if name.startswith("CL") else "fraction"
+
+    @staticmethod
+    def raises(name, value):
+        try:
+            substitute(SYS, DRUG, {name: value})
+        except ValueError:
+            return True
+        return False
+
+    def test_validation_parity_across_all_fields(self):
+        # each field free alone: the batched range check must score +inf on
+        # exactly the rows whose dataclass construction raises
+        ds = synthesize_dataset(SYS, DRUG, n_points=20)
+        for name in ALL_PARAM_NAMES:
+            kind = self.kind(name)
+            ref = reference_value(name)
+            values = np.array([ref, 0.5 * ref, self.EDGE[kind],
+                               *self.BAD[kind]])
+            spec = EstimationSpec(free=[BoundedParam(name, -1.0, 2.0)])
+            sse = population_sse(values[:, None], spec, ds)
+            raises = np.array([self.raises(name, v) for v in values])
+            assert raises.sum() == len(self.BAD[kind]), name
+            assert np.all(np.isinf(sse[raises])), name
+            for v, score in zip(values[~raises], sse[~raises]):
+                assert np.isfinite(score), (name, v)
+                assert score == pytest.approx(sse_objective([v], spec, ds),
+                                              rel=1e-13, abs=1e-30), (name, v)
 
 
 class TestFitDe:

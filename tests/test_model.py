@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from brainpbpk.model import assemble_matrix, rhs_terms
-from brainpbpk.params import DrugParams, SystemParams
+from brainpbpk.model import assemble_matrix, rates, rhs_terms
+from brainpbpk.params import (ALL_PARAM_NAMES, SYSTEM_PARAM_NAMES, DrugParams,
+                              SystemParams, substitute)
 
 SYS = SystemParams()
 DRUG = DrugParams()
@@ -82,8 +83,10 @@ def random_params(rng):
 def test_terms_match_matrix_form_randomized():
     # term-by-term equations vs theta-matrix assembly, 1000 random draws
     rng = np.random.default_rng(42)
+    draws = []
     for _ in range(1000):
         s, d = random_params(rng)
+        draws.append((s, d))
         y = rng.uniform(0, 1, size=4)
         cart = rng.uniform(0, 1)
         A = assemble_matrix(s, d)
@@ -92,3 +95,20 @@ def test_terms_match_matrix_form_randomized():
         via_terms = np.array(rhs_terms(y, cart, s, d))
         scale = np.maximum(np.abs(via_matrix), 1.0)
         assert np.all(np.abs(via_terms - via_matrix) / scale < 1e-12)
+
+    # the batched rate map on (P, 1) columns of the same draws, real and as
+    # a complex-step batch (an imaginary step on every parameter), against
+    # the matrix form row by row; the plasma enters brain blood alone
+    columns = {name: np.array([[getattr(s if name in SYSTEM_PARAM_NAMES
+                                        else d, name)] for s, d in draws])
+               for name in ALL_PARAM_NAMES}
+    oracle = np.array([assemble_matrix(s, d) for s, d in draws])
+    forcing = np.array([[s.Qbrain / s.Vbb, 0.0, 0.0, 0.0] for s, _ in draws])
+    for step in (0.0, 1e-30j):
+        M, q, V = rates(*substitute(SystemParams(), DrugParams(),
+                                    {n: c + step for n, c in columns.items()}))
+        assert M.shape == (1000, 4, 4) and q.shape == V.shape == (1000, 4)
+        M, q, V = M.real, q.real, V.real
+        A = M / V[..., None]
+        assert np.all(np.abs(A - oracle) <= 1e-14 * np.abs(oracle))
+        assert np.array_equal(q / V, forcing)

@@ -16,6 +16,9 @@ from brainpbpk.solvers import (InitialState, Method, NonFiniteState,
 
 SYS = SystemParams()
 DRUG = DrugParams()
+# the plasma enters brain blood alone, at Qbrain / Vbb
+E1 = np.array([1.0, 0.0, 0.0, 0.0])
+FORCING = SYS.Qbrain / SYS.Vbb * E1
 
 
 class TestGenericIntegrators:
@@ -74,25 +77,23 @@ class TestExpmPropagate:
     def test_decoupled_constant_forcing_analytic(self):
         # A diagonal, constant forcing on component 1:
         # y0(t) = (f/|a|)(1 - e^{-|a| t}), others stay zero.
-        s = SystemParams(Vbb=2.0, Qbrain=4.0)
         A = np.diag([-3.0, -1.0, -2.0, -0.5])
-        grid = np.linspace(0.0, 4.0, 9)
-        series = expm_propagate(A, np.zeros(4), constant_plasma(1.0, 4.0),
-                                s, grid)
         f = 4.0 / 2.0
+        grid = np.linspace(0.0, 4.0, 9)
+        series = expm_propagate(A, f * E1, np.zeros(4),
+                                constant_plasma(1.0, 4.0), grid)
         expected = (f / 3.0) * (1.0 - np.exp(-3.0 * grid))
         assert np.max(np.abs(series.Cbb - expected)) < 1e-13
         assert np.max(np.abs(series.Cbm)) == 0.0
 
     def test_ramp_forcing_analytic(self):
         # y' = -y + t  has solution  t - 1 + e^{-t} from y(0)=0
-        s = SystemParams(Vbb=1.0, Qbrain=1.0)
         A = np.diag([-1.0, -1.0, -1.0, -1.0])
         horizon = 3.0
         plasma = PlasmaProfile(np.array([0.0, horizon]),
                                np.array([0.0, horizon]))
         grid = np.linspace(0.0, horizon, 7)
-        series = expm_propagate(A, np.zeros(4), plasma, s, grid)
+        series = expm_propagate(A, E1, np.zeros(4), plasma, grid)
         expected = grid - 1.0 + np.exp(-grid)
         assert np.max(np.abs(series.Cbb - expected)) < 1e-13
 
@@ -101,7 +102,7 @@ class TestExpmPropagate:
         A = assemble_matrix(SYS, DRUG)
         y0 = rng.uniform(0, 0.1, size=4)
         grid = np.array([0.0, 1.5])
-        series = expm_propagate(A, y0, constant_plasma(0.0), SYS, grid)
+        series = expm_propagate(A, FORCING, y0, constant_plasma(0.0), grid)
         from scipy.linalg import expm
         expected = expm(A * 1.5) @ y0
         assert np.max(np.abs(series.concentrations()[:, 1] - expected)) < 1e-14
@@ -110,7 +111,7 @@ class TestExpmPropagate:
         A = assemble_matrix(SYS, DRUG)
         y0 = np.array([0.01, 0.02, 0.03, 0.04])
         grid = np.linspace(0.0, 1.0, 5)
-        series = expm_propagate(A, y0, constant_plasma(0.05), SYS, grid)
+        series = expm_propagate(A, FORCING, y0, constant_plasma(0.05), grid)
         assert np.array_equal(series.concentrations()[:, 0], y0)
 
 
@@ -118,8 +119,8 @@ class TestExpmPropagate:
         # y' = 50 y overflows once 50 t passes log(max float) ~ 709.8
         grid = np.linspace(0.0, 48.0, 49)
         with pytest.raises(NonFiniteState, match=r"t=15\b"):
-            expm_propagate(50.0 * np.eye(4), np.ones(4), constant_plasma(0.0),
-                           SYS, grid)
+            expm_propagate(50.0 * np.eye(4), FORCING, np.ones(4),
+                           constant_plasma(0.0), grid)
 
 
 class TestPropagateStates:
@@ -128,11 +129,11 @@ class TestPropagateStates:
         plasma = PlasmaSpec().sample(np.linspace(0.0, 48.0, 25))
         systems = [SystemParams(Vbb=v) for v in (0.03, SYS.Vbb, 0.2)]
         A = np.stack([assemble_matrix(s, DRUG) for s in systems])
-        b = np.array([s.Qbrain / s.Vbb for s in systems])
-        batched = propagate_states(A, b, np.zeros(4), plasma, grid)
+        f = np.array([s.Qbrain / s.Vbb * E1 for s in systems])
+        batched = propagate_states(A, f, np.zeros(4), plasma, grid)
         assert batched.shape == (3, 4, grid.size)
-        for row, s, Ai in zip(batched, systems, A):
-            single = expm_propagate(Ai, np.zeros(4), plasma, s,
+        for row, Ai, fi in zip(batched, A, f):
+            single = expm_propagate(Ai, fi, np.zeros(4), plasma,
                                     grid).concentrations()
             scale = np.maximum(np.abs(single), 1e-300)
             assert np.max(np.abs(row - single) / scale) <= 1e-14

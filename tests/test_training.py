@@ -6,14 +6,15 @@ import pytest
 from brainpbpk import network as nn
 from brainpbpk import training
 from brainpbpk.autodiff import Var, grad
+from brainpbpk.dataio import linear_interp
+from brainpbpk.model import influx_terms, volumes
 from brainpbpk.params import DrugParams, SystemParams, reference_value
 from brainpbpk.solvers import synthesize_dataset
 from brainpbpk.training import (DEFAULT_FREE, AdamState, BoundedParam,
                                 EstimationSpec, LossWeights, TrainConfig,
                                 TrainingDiverged, _composite_loss,
-                                build_problem, constrain, data_loss,
-                                default_estimation_spec, ic_loss,
-                                lbfgs_refine, ode_loss, train)
+                                build_problem, constrain,
+                                default_estimation_spec, lbfgs_refine, train)
 
 
 def small_dataset(n=20):
@@ -79,6 +80,46 @@ class TestLossWeights:
             LossWeights(ic=[-1, 0, 0, 0])
         with pytest.raises(ValueError):
             LossWeights(ic=np.zeros(4), ode=np.zeros(4), data=np.zeros(4))
+
+
+# -- numpy references of the three loss components ---------------------------
+
+def _scaled_mse(resid: np.ndarray, weights: np.ndarray, scale) -> float:
+    """sum_k w_k * mean((resid_k / scale_k)^2); scale None means 1."""
+    scale = np.ones(len(weights)) if scale is None else scale
+    return float(sum(w * np.mean((resid[k] / scale[k]) ** 2)
+                     for k, w in enumerate(weights)))
+
+
+def data_loss(pred: np.ndarray, obs: np.ndarray, weights: np.ndarray,
+              scale=None) -> float:
+    """Sum over compartments of per-compartment weighted MSE over points,
+    of the misfit divided by that compartment's scale (the peak)."""
+    return _scaled_mse(pred - obs, weights, scale)
+
+
+def ic_loss(pred0: np.ndarray, y0: np.ndarray, weights: np.ndarray,
+            scale=None) -> float:
+    """Weighted squared initial-condition misfit, divided by the scale."""
+    return _scaled_mse((pred0 - y0)[:, None], weights, scale)
+
+
+def ode_loss(net: nn.Network, spec: EstimationSpec, plasma,
+             collocation_times: np.ndarray, horizon: float,
+             weights: np.ndarray, scale=None) -> float:
+    """Mean squared amount-form ODE residual V_k * dC_k/dt - influx_k per
+    equation, divided by ``scale`` (the ODE scale), lambda-weighted. ``net``
+    maps t / horizon to concentrations, as ``train`` returns it (numpy
+    path)."""
+    t = np.asarray(collocation_times, dtype=float)
+    Y, Ydot_hat = nn.forward_with_time_derivative(net, t / horizon)
+    dYdt = Ydot_hat / horizon
+    cart = linear_interp(plasma, t)
+    sys_r, drug_r = spec.realized()
+    J = influx_terms((Y[0], Y[1], Y[2], Y[3]), cart, sys_r, drug_r)
+    resid = np.array([v * dYdt[k] - J[k]
+                      for k, v in enumerate(volumes(sys_r))])
+    return _scaled_mse(resid, weights, scale)
 
 
 class TestReferenceLosses:
@@ -198,6 +239,14 @@ class TestCompositeLoss:
                              TrainConfig())
         assert prob.peak[3] == 1.0 and prob.ode_scale[3] == 1.0
         assert np.all(np.isfinite(prob.obs_u))
+
+    def test_box_outside_valid_range_rejected(self):
+        # the midpoint 0.85 is valid, but the sigmoid bound could reach 1.2
+        spec = EstimationSpec(free=[BoundedParam("fuccsf", 0.5, 1.2)])
+        with pytest.raises(ValueError, match=r"fuccsf must lie in \[0, 1\]"):
+            build_problem(small_dataset(10), spec,
+                          nn.NetworkConfig(hidden_layers=1, neurons=3),
+                          TrainConfig())
 
     def test_gradient_matches_finite_differences(self):
         for free_names in FREE_SETS:
