@@ -74,6 +74,14 @@ def _estimation_spec(args) -> EstimationSpec:
     return spec
 
 
+def _config(make, **kwargs):
+    """The config ``make(**kwargs)``; invalid values exit with an error."""
+    try:
+        return make(**kwargs)
+    except ValueError as err:
+        raise SystemExit(f"error: {err}") from None
+
+
 def _read_dataset(path, need_plasma: bool = False) -> ConcentrationSeries:
     try:
         dataset = read_series(path)
@@ -151,19 +159,19 @@ def _write_summary(out: Path, label: str, names, values, abs_errors,
 
 def cmd_train(args) -> int:
     spec = _estimation_spec(args)
+    net_cfg = _config(nn.NetworkConfig, hidden_layers=args.layers,
+                      neurons=args.neurons, activation=args.activation,
+                      initializer=args.init, seed=args.seed)
+    train_cfg = _config(
+        TrainConfig, lr=args.lr, iterations=args.iters,
+        lbfgs_iters=args.lbfgs_iters,
+        weights=_config(LossWeights, ic=np.full(4, args.weights_ic),
+                        ode=np.full(4, args.weights_ode),
+                        data=np.full(4, args.weights_data)),
+        log_stride=args.log_stride, seed=args.seed)
     out = _outdir(args.out)
     dataset = _read_dataset(args.data, need_plasma=True)
-
     reference = _reference_from_manifest(args.data)
-    net_cfg = nn.NetworkConfig(hidden_layers=args.layers, neurons=args.neurons,
-                               activation=args.activation,
-                               initializer=args.init, seed=args.seed)
-    train_cfg = TrainConfig(
-        lr=args.lr, iterations=args.iters, lbfgs_iters=args.lbfgs_iters,
-        weights=LossWeights(ic=np.full(4, args.weights_ic),
-                            ode=np.full(4, args.weights_ode),
-                            data=np.full(4, args.weights_data)),
-        log_stride=args.log_stride, seed=args.seed)
 
     try:
         net, final_spec, artifacts = train(dataset, spec, net_cfg, train_cfg)
@@ -215,11 +223,11 @@ def cmd_train(args) -> int:
 
 def cmd_fit_de(args) -> int:
     spec = _estimation_spec(args)
+    cfg = _config(DEConfig, population=args.population,
+                  generations=args.generations, seed=args.seed)
     out = _outdir(args.out)
     dataset = _read_dataset(args.data, need_plasma=True)
 
-    cfg = DEConfig(population=args.population, generations=args.generations,
-                   seed=args.seed)
     reference = _reference_from_manifest(args.data)
     result = fit_de(dataset, spec, cfg, reference=reference)
     result.write_csv(out / "de_result.csv")
@@ -248,22 +256,18 @@ def cmd_fit_de(args) -> int:
 # -- sweep -------------------------------------------------------------------
 
 def _sweep_cell(payload):
-    """One sweep cell; returns 'loss (seconds)' or 'diverged'."""
-    (data_path, activation, layers, neurons, iters, seed) = payload
+    """One sweep cell; returns (network config, final loss or None if
+    training diverged, seconds)."""
+    data_path, net_cfg, train_cfg = payload
     dataset = read_series(data_path)
-    spec = default_estimation_spec()
-    net_cfg = nn.NetworkConfig(hidden_layers=layers, neurons=neurons,
-                               activation=activation, seed=seed,
-                               initializer="glorot-uniform")
-    train_cfg = TrainConfig(iterations=iters, lbfgs_iters=0,
-                            log_stride=max(1, iters // 10), seed=seed)
     start = time.perf_counter()
     try:
-        _, _, artifacts = train(dataset, spec, net_cfg, train_cfg)
+        _, _, artifacts = train(dataset, default_estimation_spec(), net_cfg,
+                                train_cfg)
         loss = artifacts.loss_total[-1]
-        return activation, layers, neurons, loss, time.perf_counter() - start
     except TrainingDiverged:
-        return activation, layers, neurons, None, time.perf_counter() - start
+        loss = None
+    return net_cfg, loss, time.perf_counter() - start
 
 
 def _parse_counts(flag: str, arg: str) -> list[int]:
@@ -281,12 +285,17 @@ def cmd_sweep(args) -> int:
     if not activations or not layer_counts or not neuron_counts:
         raise SystemExit("error: empty sweep grid")
     iters = 1000 if args.fast else args.iters
-    out = _outdir(args.out)
-    _read_dataset(args.data, need_plasma=True)  # each cell reads it again
-
-    cells = [(args.data, act, L, N, iters, args.seed)
+    train_cfg = _config(TrainConfig, iterations=iters, lbfgs_iters=0,
+                        log_stride=max(1, iters // 10), seed=args.seed)
+    cells = [(args.data,
+              _config(nn.NetworkConfig, hidden_layers=L, neurons=N,
+                      activation=act, seed=args.seed,
+                      initializer="glorot-uniform"),
+              train_cfg)
              for L in layer_counts for act in activations
              for N in neuron_counts]
+    out = _outdir(args.out)
+    _read_dataset(args.data, need_plasma=True)  # each cell reads it again
     jobs = args.jobs or int(os.environ.get("PBPK_IPINN_JOBS", "1"))
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -294,8 +303,8 @@ def cmd_sweep(args) -> int:
     else:
         results = [_sweep_cell(c) for c in cells]
 
-    table = {(act, L, N): (loss, secs)
-             for act, L, N, loss, secs in results}
+    table = {(c.activation, c.hidden_layers, c.neurons): (loss, secs)
+             for c, loss, secs in results}
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layers", "activation"] +

@@ -184,8 +184,8 @@ def write_series(series: ConcentrationSeries, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
-        for i in range(len(series)):
-            writer.writerow([_fmt(series.column(c)[i]) for c in cols])
+        writer.writerows(zip(*(map(_fmt, series.column(c).tolist())
+                               for c in cols)))
 
 
 @dataclass
@@ -199,7 +199,6 @@ class RunArtifacts:
     loss_ic: list[float] = field(default_factory=list)
     loss_total: list[float] = field(default_factory=list)
     trajectory: list[list[float]] = field(default_factory=list)
-    prediction: ConcentrationSeries | None = None
     wall_seconds: float = 0.0
     lbfgs_iterations: int = 0
     lbfgs_line_search_failed: bool = False

@@ -1,10 +1,13 @@
 """Inverse-PINN training: composite loss, bounded parameters, Adam, L-BFGS.
 
 Free physical parameters are trained through a sigmoid bounding transform
-(value = lo + (hi - lo) * sigmoid(raw)), so they stay strictly inside their
-bounds at every iteration. Network weights, biases, and the raw parameter
-values are updated jointly by full-batch Adam, optionally followed by an
-L-BFGS refinement stage.
+(value = lo + (hi - lo) * sigmoid(raw)), so they stay inside their bounds
+at every iteration. Network weights, biases, and the raw parameter values
+are updated jointly by full-batch Adam, optionally followed by an L-BFGS
+refinement stage. Both work on one flat float64 vector theta: the weight
+matrices in layer order, then the bias columns, then the raw values in the
+order of ``EstimationSpec.free``, each array flattened in C order. The tape
+leaves are views of theta (or of an L-BFGS trial point).
 
 The loss is nondimensionalized with scales fixed once per problem by
 ``build_problem``, from the dataset and the bound midpoints only:
@@ -76,9 +79,20 @@ class BoundedParam:
             raise ValueError(f"{self.name}: lower bound must be below upper")
 
 
-def constrain(p: BoundedParam):
-    """lo + (hi - lo) * sigmoid(raw); strictly inside (lo, hi)."""
-    return p.lo + (p.hi - p.lo) / (1.0 + math.exp(-p.raw))
+def _sigmoid_bound(free, raw):
+    """(values, d values / d raw) of lo + (hi - lo) * sigmoid(raw) for the
+    bounded parameters ``free`` at the raw values ``raw``, elementwise. A
+    raw value below about -709 gives lo instead of overflowing."""
+    lo = np.array([p.lo for p in free])
+    span = np.array([p.hi for p in free]) - lo
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-np.asarray(raw, dtype=float)))
+    return lo + span * s, span * s * (1.0 - s)
+
+
+def constrain(p: BoundedParam) -> float:
+    """lo + (hi - lo) * sigmoid(raw), in [lo, hi]."""
+    return _sigmoid_bound([p], [p.raw])[0].item()
 
 
 @dataclass
@@ -138,8 +152,9 @@ class LossWeights:
         for name in ("ic", "ode", "data"):
             v = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, v)
-            if v.shape != (4,) or np.any(v < 0):
-                raise ValueError(f"{name} weights must be 4 non-negative values")
+            if v.shape != (4,) or not np.all(np.isfinite(v) & (v >= 0)):
+                raise ValueError(f"{name} weights must be 4 finite "
+                                 f"non-negative values")
         if not (np.any(self.ic > 0) or np.any(self.ode > 0) or np.any(self.data > 0)):
             raise ValueError("at least one loss weight must be positive")
 
@@ -154,8 +169,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("learning rate must be finite and positive")
         if self.iterations < 0 or self.lbfgs_iters < 0:
             raise ValueError("iteration counts must be non-negative")
         if self.log_stride < 1:
@@ -203,18 +218,15 @@ def _rate_node(spec: EstimationSpec, raw_vars) -> Var:
     cancels). The chain through the sigmoid bound is applied
     analytically."""
     free, n = spec.free, len(spec.free)
-    lo = np.array([p.lo for p in free])
-    span = np.array([p.hi for p in free]) - lo
-    s = 1.0 / (1.0 + np.exp(-np.array([r.item() for r in raw_vars])))
+    values, slopes = _sigmoid_bound(free, [r.item() for r in raw_vars])
     # (1 + n, n): row 0 the values, row 1 + i steps parameter i
-    batch = (lo + span * s) + 1j * _COMPLEX_STEP * np.eye(1 + n, n, -1)
+    batch = values + 1j * _COMPLEX_STEP * np.eye(1 + n, n, -1)
     M, q, V = rates(*substitute(
         spec.base_sys, spec.base_drug,
         {p.name: batch[:, i, None] for i, p in enumerate(free)}))
     G = np.concatenate([M, q[..., None], V[..., None]], axis=-1)
     # d G / d raw_i, flattened to (n, 24)
-    jac = (G[1:].imag / _COMPLEX_STEP).reshape(n, 24) \
-        * (span * s * (1.0 - s))[:, None]
+    jac = (G[1:].imag / _COMPLEX_STEP).reshape(n, 24) * slopes[:, None]
 
     def back(g):
         return tuple(jac @ np.ravel(g))
@@ -278,26 +290,26 @@ def build_problem(dataset: ConcentrationSeries, spec: EstimationSpec,
 # -- optimizers --------------------------------------------------------------
 
 class AdamState:
-    """Standard Adam (beta1=0.9, beta2=0.999, eps=1e-8), bias-corrected."""
+    """Standard Adam (beta1=0.9, beta2=0.999, eps=1e-8), bias-corrected, on
+    one flat parameter vector that ``step`` updates in place."""
 
-    def __init__(self, arrays, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, theta: np.ndarray, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
 
-    def step(self, arrays, grads, lr: float) -> None:
+    def step(self, theta: np.ndarray, g: np.ndarray, lr: float) -> None:
         self.t += 1
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradient("adam-step")
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradient("adam-step")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            a -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (g * g)
+        theta -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
 
 
 @dataclass
@@ -380,21 +392,20 @@ def lbfgs_refine(loss_and_grad, x0: np.ndarray, max_iters: int,
 _DIVERGENCE_FACTOR = 1e3
 
 
-def _pack(arrays) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def _unpack(flat: np.ndarray, templates) -> list[np.ndarray]:
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of the flat vector ``flat`` in the given shapes."""
     out, i = [], 0
-    for t in templates:
-        out.append(flat[i:i + t.size].reshape(t.shape))
-        i += t.size
+    for shape in shapes:
+        n = math.prod(shape)
+        out.append(flat[i:i + n].reshape(shape))
+        i += n
     return out
 
 
 def train(dataset: ConcentrationSeries, spec: EstimationSpec,
           net_cfg: nn.NetworkConfig, train_cfg: TrainConfig):
-    """Adam on the composite loss, then optional L-BFGS refinement.
+    """Adam on the composite loss, then optional L-BFGS refinement, both on
+    the flat vector theta of the module docstring.
 
     Returns (trained Network, EstimationSpec with final raw values,
     RunArtifacts); the artifacts record how many L-BFGS iterations ran and
@@ -407,83 +418,70 @@ def train(dataset: ConcentrationSeries, spec: EstimationSpec,
     prob = build_problem(dataset, spec, net_cfg, train_cfg)
     net = nn.init_network(net_cfg)
     arrays = net.parameter_arrays()
-    raws = [np.asarray(float(p.raw)) for p in spec.free]
-    all_arrays = arrays + raws
-    n_wb = len(arrays)
-
+    theta = np.concatenate(arrays + [[p.raw for p in spec.free]], axis=None)
+    shapes = [a.shape for a in arrays] + [()] * len(spec.free)
+    n_w, n_wb = len(net.weights), len(arrays)
+    raw_at = theta.size - len(spec.free)  # where the raw tail starts
+    base_iter = train_cfg.iterations
+    done = 0  # optimizer iterations completed, Adam's then L-BFGS's
     artifacts = RunArtifacts(param_names=spec.names)
 
-    def eval_loss(arrs):
-        leaves = [Var(a, op=f"param{i}") for i, a in enumerate(arrs)]
-        total, comp = _composite_loss(prob, leaves[:len(net.weights)],
-                                      leaves[len(net.weights):n_wb],
+    def evaluate(x):
+        """The loss graph at the flat point x: (total, components, leaves)."""
+        leaves = [Var(a, op=f"param{i}") for i, a in enumerate(_views(x, shapes))]
+        total, comp = _composite_loss(prob, leaves[:n_w], leaves[n_w:n_wb],
                                       leaves[n_wb:])
         return total, comp, leaves
 
-    def current_spec(arrs) -> EstimationSpec:
-        free = [replace(p, raw=float(r)) for p, r in zip(spec.free, arrs[n_wb:])]
-        return EstimationSpec(free=free, base_sys=spec.base_sys,
-                              base_drug=spec.base_drug)
+    def gradient(total, leaves) -> np.ndarray:
+        return np.concatenate(grad(total, leaves), axis=None)
 
-    def log(iteration, comp, arrs):
-        ld, lo, li = comp
-        values = list(current_spec(arrs).constrained_values().values())
-        artifacts.log(iteration, ld, lo, li, ld + lo + li, values)
+    def log(iteration, comp, x):
+        values = _sigmoid_bound(spec.free, x[raw_at:])[0].tolist()
+        artifacts.log(iteration, *comp, sum(comp), values)
 
-    adam = AdamState(all_arrays)
+    def loss_and_grad(x):
+        total, _, leaves = evaluate(x)
+        if not np.isfinite(total.value):
+            # an infinite trial loss makes the line search back off
+            return math.inf, np.zeros_like(x)
+        return total.item(), gradient(total, leaves)
+
+    def cb(it, f, x):
+        nonlocal done
+        done = base_iter + it
+        if it % train_cfg.log_stride == 0:
+            log(done, evaluate(x)[1], x)
+
+    adam = AdamState(theta)
     try:
-        total, comp, leaves = eval_loss(all_arrays)
-        log(0, comp, all_arrays)
+        total, comp, leaves = evaluate(theta)
         cap = _DIVERGENCE_FACTOR * total.item()
-        for it in range(1, train_cfg.iterations + 1):
+        for it in range(base_iter + 1):
+            if it > 0:
+                adam.step(theta, gradient(total, leaves), train_cfg.lr)
+                done = it
+                total, comp, leaves = evaluate(theta)
+            # checked before logging: the log refuses a non-finite loss
             if not np.isfinite(total.value) or total.item() > cap:
-                raise TrainingDiverged(it - 1, artifacts, "loss diverged")
-            grads = grad(total, leaves)
-            adam.step(all_arrays, grads, train_cfg.lr)
-            total, comp, leaves = eval_loss(all_arrays)
-            if it % train_cfg.log_stride == 0 or it == train_cfg.iterations:
-                log(it, comp, all_arrays)
+                raise TrainingDiverged(it, artifacts, "loss diverged")
+            if it % train_cfg.log_stride == 0 or it == base_iter:
+                log(it, comp, theta)
+        if train_cfg.lbfgs_iters > 0:
+            result = lbfgs_refine(loss_and_grad, theta, train_cfg.lbfgs_iters,
+                                  callback=cb)
+            artifacts.lbfgs_iterations = result.iterations
+            artifacts.lbfgs_line_search_failed = result.line_search_failed
+            theta = result.x
+            log(base_iter + result.iterations + 1, evaluate(theta)[1], theta)
     except NonFiniteGradient as err:
-        raise TrainingDiverged(adam.t, artifacts, str(err)) from err
+        raise TrainingDiverged(done, artifacts, str(err)) from err
 
-    base_iter = train_cfg.iterations
-    if train_cfg.lbfgs_iters > 0:
-        templates = all_arrays
-
-        done = 0  # L-BFGS iterations completed
-
-        def loss_and_grad(flat):
-            total, _, leaves = eval_loss(_unpack(flat, templates))
-            if not np.isfinite(total.value):
-                # an infinite trial loss makes the line search back off
-                return math.inf, np.zeros_like(flat)
-            try:
-                return total.item(), _pack(grad(total, leaves))
-            except NonFiniteGradient as err:
-                raise TrainingDiverged(base_iter + done, artifacts,
-                                       str(err)) from err
-
-        def cb(it, f, x):
-            nonlocal done
-            done = it
-            if it % train_cfg.log_stride == 0:
-                arrs = _unpack(x, templates)
-                log(base_iter + it, eval_loss(arrs)[1], arrs)
-
-        result = lbfgs_refine(loss_and_grad, _pack(all_arrays),
-                              train_cfg.lbfgs_iters, callback=cb)
-        artifacts.lbfgs_iterations = result.iterations
-        artifacts.lbfgs_line_search_failed = result.line_search_failed
-        all_arrays = _unpack(result.x, templates)
-        _, comp, _ = eval_loss(all_arrays)
-        if not artifacts.loss_iters or \
-                artifacts.loss_iters[-1] < base_iter + result.iterations + 1:
-            log(base_iter + result.iterations + 1, comp, all_arrays)
-
+    params = _views(theta, shapes)
     final_net = nn.fold_scales(
-        nn.Network(net_cfg, [np.asarray(a) for a in all_arrays[:len(net.weights)]],
-                   [np.asarray(a) for a in all_arrays[len(net.weights):n_wb]]),
+        nn.Network(net_cfg, params[:n_w], params[n_w:n_wb]),
         prob.horizon, prob.peak)
-    final_spec = current_spec(all_arrays)
+    final_spec = replace(spec, free=[replace(p, raw=float(r))
+                                     for p, r in zip(spec.free, theta[raw_at:])])
     artifacts.wall_seconds = time.perf_counter() - t_start
     return final_net, final_spec, artifacts

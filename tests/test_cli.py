@@ -100,6 +100,17 @@ class TestTrain:
             main(["train", "--data", str(tmp_path / "nope.csv"),
                   "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize("flags", [
+        ["--lr", "-1"], ["--lr", "nan"], ["--lr", "inf"], ["--layers", "0"],
+        ["--iters", "-1"], ["--log-stride", "0"], ["--weights-ic", "-1"],
+        ["--weights-ode", "nan"], ["--weights-data", "inf"]])
+    def test_bad_config_is_an_error(self, dataset_dir, tmp_path, flags):
+        with pytest.raises(SystemExit, match="^error: "):
+            main(["train", "--data", str(dataset_dir / "dataset.csv"),
+                  "--layers", "1", "--neurons", "4", "--iters", "2",
+                  "--lbfgs-iters", "0", *flags, "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
     def test_box_outside_valid_range_is_an_error(self, dataset_dir, tmp_path):
         # fuccsf (reference 1) boxed in [0.5, 2]: the sigmoid bound would
         # let training reach fractions above 1
@@ -140,6 +151,14 @@ class TestFitDe:
             main(["fit-de", "--data", str(data), "--free", "Vbb",
                   "--generations", "1", "--out", str(tmp_path / "out")])
 
+    @pytest.mark.parametrize("population", ["2", "-1"])
+    def test_bad_config_is_an_error(self, dataset_dir, tmp_path, population):
+        with pytest.raises(SystemExit, match="^error: population"):
+            main(["fit-de", "--data", str(dataset_dir / "dataset.csv"),
+                  "--free", "Vbb", "--generations", "1",
+                  "--population", population, "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
     def test_box_outside_valid_range_is_an_error(self, dataset_dir, tmp_path):
         # no candidate in [1.5, 2] x fuccsf is a valid fraction
         with pytest.raises(SystemExit, match=r"^error: .*fuccsf"):
@@ -168,6 +187,17 @@ class TestSweep:
         with pytest.raises(SystemExit, match="^error: missing required column"):
             main(["sweep", "--data", str(bad), "--layers", "1",
                   "--neurons", "2", "--iters", "1", "--out", str(tmp_path)])
+
+    # the bad value sits in the last cell: no cell may run before the check
+    @pytest.mark.parametrize("flags", [
+        ["--layers", "1,0"], ["--neurons", "2,0"],
+        ["--activations", "tanh,foo"], ["--iters", "-1"]])
+    def test_bad_config_is_an_error(self, dataset_dir, tmp_path, flags):
+        with pytest.raises(SystemExit, match="^error: "):
+            main(["sweep", "--data", str(dataset_dir / "dataset.csv"),
+                  "--activations", "tanh", "--layers", "1", "--neurons", "2",
+                  "--iters", "1", *flags, "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     def test_non_integer_layers_is_an_error(self, dataset_dir, tmp_path):
         with pytest.raises(SystemExit, match="^error: --layers"):

@@ -42,6 +42,11 @@ class TestBoundedParam:
         with pytest.raises(ValueError):
             BoundedParam("Vbb", 2.0, 2.0)
 
+    def test_far_raw_gives_the_bound_without_overflow(self):
+        # exp(1000) overflows a float; the bound saturates instead
+        assert constrain(BoundedParam("x", 0.0, 1.0, raw=-1000.0)) == 0.0
+        assert constrain(BoundedParam("x", 0.0, 1.0, raw=1000.0)) == 1.0
+
 
 class TestEstimationSpec:
     def test_default_free_set_and_bounds(self):
@@ -80,6 +85,9 @@ class TestLossWeights:
             LossWeights(ic=[-1, 0, 0, 0])
         with pytest.raises(ValueError):
             LossWeights(ic=np.zeros(4), ode=np.zeros(4), data=np.zeros(4))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                LossWeights(ode=np.full(4, bad))
 
 
 # -- numpy references of the three loss components ---------------------------
@@ -278,24 +286,24 @@ class TestCompositeLoss:
 
 class TestAdam:
     def test_quadratic_convergence(self):
-        x = [np.array([5.0])]
+        x = np.array([5.0])
         state = AdamState(x)
         for _ in range(2000):
-            g = [2.0 * x[0]]
-            state.step(x, g, lr=0.05)
-        assert abs(x[0][0]) < 1e-3
+            state.step(x, 2.0 * x, lr=0.05)
+        assert abs(x[0]) < 1e-3
 
     def test_first_step_size_is_lr(self):
         # bias correction makes the very first update ~lr in magnitude
-        x = [np.array([1.0])]
-        AdamState(x).step(x, [np.array([123.0])], lr=0.01)
-        assert x[0][0] == pytest.approx(1.0 - 0.01, abs=1e-6)
+        x = np.array([1.0])
+        AdamState(x).step(x, np.array([123.0]), lr=0.01)
+        assert x[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
 
     def test_in_place_update(self):
-        x = [np.array([1.0, 2.0])]
-        ref = x[0]
-        AdamState(x).step(x, [np.ones(2)], lr=0.1)
-        assert x[0] is ref
+        # train's tape leaves are views of the vector; they must see the step
+        x = np.array([1.0, 2.0])
+        view = x[1:]
+        AdamState(x).step(x, np.ones(2), lr=0.1)
+        assert view[0] == x[1] == pytest.approx(1.9)
 
 
 class TestLbfgs:
@@ -368,6 +376,38 @@ class TestTrain:
         with pytest.raises(TrainingDiverged) as err:
             train(ds, spec, cfg, tc)
         assert len(err.value.artifacts.loss_iters) > 0
+
+    def test_flat_vector_layout(self, monkeypatch):
+        # theta = every weight, then every bias, then the raw free values;
+        # the L-BFGS tests below and the benchmark's gradient check index
+        # it in this order
+        refine, captured = training.lbfgs_refine, []
+
+        def capture(loss_and_grad, x0, max_iters, **kwargs):
+            captured.append(np.array(x0))
+            return refine(loss_and_grad, x0, 0, **kwargs)
+        monkeypatch.setattr(training, "lbfgs_refine", capture)
+        spec = default_estimation_spec()
+        for i, p in enumerate(spec.free):
+            p.raw = 0.25 * (i + 1)
+        cfg = nn.NetworkConfig(hidden_layers=2, neurons=3, seed=4)
+        train(small_dataset(10), spec, cfg,
+              TrainConfig(iterations=0, lbfgs_iters=1))
+        net = nn.init_network(cfg)
+        expected = np.concatenate([w.ravel() for w in net.weights]
+                                  + [b.ravel() for b in net.biases]
+                                  + [[p.raw for p in spec.free]])
+        assert np.array_equal(captured[0], expected)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lr", [1e30, 1e200])
+    def test_huge_step_ends_as_divergence(self, lr):
+        # one step puts some raw values near -lr, where exp(-raw) overflows,
+        # and the loss far above the divergence cap (non-finite at 1e200)
+        cfg = nn.NetworkConfig(hidden_layers=1, neurons=3, seed=0)
+        tc = TrainConfig(lr=lr, iterations=5, lbfgs_iters=0, log_stride=1)
+        with pytest.raises(TrainingDiverged, match="iteration 1: loss diverged"):
+            train(small_dataset(20), default_estimation_spec(), cfg, tc)
 
     def test_lbfgs_stage_extends_iteration_numbers(self):
         ds = small_dataset(10)
