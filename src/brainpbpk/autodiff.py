@@ -15,9 +15,11 @@ is checked once, on the adjoints of the parentless nodes, and only if that
 check fails is the sweep rerun with every edge checked, to name the node
 that produced the first non-finite adjoint (``NonFiniteGradient.op``).
 
-The time-derivative of a network output is obtained by running the forward
-pass on (value, tangent) pairs of Vars; since the tangent arithmetic is
-itself recorded on the tape, one reverse sweep differentiates through it,
+The tape has no elementwise functions: a network's time derivative comes
+from a forward pass on (value, tangent) pairs of Vars, and ``network``
+records each layer's activation as two nodes with their adjoints written
+out (the value f(z) and the tangent f'(z) zdot). The tangent is recorded
+like any other node, so one reverse sweep differentiates through it,
 giving exact parameter gradients of losses that involve dY/dt.
 """
 from __future__ import annotations
@@ -170,49 +172,6 @@ class Var:
         out = Var(self.value.mean(), (self,), op="mean")
         out._backward = lambda g: (np.broadcast_to(g / n, self.shape).copy(),)
         return out
-
-
-# -- elementwise functions ---------------------------------------------------
-
-def tanh(x: Var) -> Var:
-    t = np.tanh(x.value)
-    out = Var(t, (x,), op="tanh")
-    out._backward = lambda g: (g * (1.0 - t * t),)
-    return out
-
-
-def sigmoid(x: Var) -> Var:
-    s = 1.0 / (1.0 + np.exp(-x.value))
-    out = Var(s, (x,), op="sigmoid")
-    out._backward = lambda g: (g * s * (1.0 - s),)
-    return out
-
-
-def relu(x: Var) -> Var:
-    # subgradient 0 at exactly 0
-    mask = x.value > 0
-    out = Var(np.where(mask, x.value, 0.0), (x,), op="relu")
-    out._backward = lambda g: (g * mask,)
-    return out
-
-
-def sin(x: Var) -> Var:
-    out = Var(np.sin(x.value), (x,), op="sin")
-    out._backward = lambda g: (g * np.cos(x.value),)
-    return out
-
-
-def cos(x: Var) -> Var:
-    out = Var(np.cos(x.value), (x,), op="cos")
-    out._backward = lambda g: (-g * np.sin(x.value),)
-    return out
-
-
-def exp(x: Var) -> Var:
-    e = np.exp(x.value)
-    out = Var(e, (x,), op="exp")
-    out._backward = lambda g: (g * e,)
-    return out
 
 
 # -- reverse sweep -----------------------------------------------------------

@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import network as nn
-from .dataio import (ConcentrationSeries, DataIOError, emit_plot, read_series,
-                     write_series)
+from .dataio import (ConcentrationSeries, DataIOError, emit_plot,
+                     linear_interp, read_series, write_series)
 from .defit import DEConfig, fit_de
 from .metrics import write_summaries
 from .model import COMPARTMENTS
@@ -169,6 +169,8 @@ def cmd_train(args) -> int:
                         ode=np.full(4, args.weights_ode),
                         data=np.full(4, args.weights_data)),
         log_stride=args.log_stride, seed=args.seed)
+    if args.prediction_points < 2:
+        raise SystemExit("error: --prediction-points must be >= 2")
     out = _outdir(args.out)
     dataset = _read_dataset(args.data, need_plasma=True)
     reference = _reference_from_manifest(args.data)
@@ -189,7 +191,6 @@ def cmd_train(args) -> int:
     dense = np.linspace(0.0, horizon, args.prediction_points)
     pred = nn.forward(net, dense / horizon)
     plasma = dataset.plasma_profile()
-    from .dataio import linear_interp
     pred_series = ConcentrationSeries(times=dense, Cbb=pred[0], Cbm=pred[1],
                                       Cccsf=pred[2], Cscsf=pred[3],
                                       plasma=linear_interp(plasma, dense))

@@ -43,6 +43,10 @@ class DEConfig:
             raise ValueError("mutation factor must be in (0, 2]")
         if not 0.0 <= self.crossover <= 1.0:
             raise ValueError("crossover rate must be in [0, 1]")
+        if self.generations < 0:
+            raise ValueError("generations must be >= 0")
+        if self.stagnation_window < 1:
+            raise ValueError("stagnation window must be >= 1")
 
 
 @dataclass

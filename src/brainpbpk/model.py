@@ -86,7 +86,7 @@ def influx_terms(Y, cart, sys: SystemParams, drug: DrugParams):
     Jccsf = (s.PSC * (d.lam_bb * d.fubb * Cbb - d.lam_ccsf * d.fuccsf * Cccsf)
              + d.CLCin * d.fubb * Cbb
              - d.CLCout * d.fuccsf * Cccsf
-             + -(s.Qsout * Cscsf)  # the printed sign: an efflux
+             - s.Qsout * Cscsf  # the printed sign: an efflux
              + s.PSE * (d.lam_bm * d.fubm * Cbm - d.lam_ccsf * d.fuccsf * Cccsf)
              - s.Qsin * Cccsf
              - s.Qcsink * Cccsf)

@@ -2,15 +2,19 @@
 
 The network maps normalized time (shape (1, N)) to the four compartment
 concentrations (shape (4, N)). Hidden layers are affine + activation, the
-output layer is affine. Two evaluation paths exist:
+output layer is affine. Each activation is written once, in
+``activation``, as its value and its first two derivatives, and both
+evaluation paths read it:
 
 * plain numpy (``forward`` / ``forward_with_time_derivative``) for
   prediction and testing, and
 * tape-recorded (``forward_dual_tape``) for training, where weights and
-  biases are autodiff ``Var`` leaves.
+  biases are autodiff ``Var`` leaves and a layer's activation is two
+  nodes: the value f(z), and the tangent f'(z) zdot, whose adjoint to z
+  is where f''(z) enters.
 
-Both paths execute the same operations in the same order, so their value
-outputs agree bit for bit.
+Both paths compute the same values in the same order, so Y and dY/dt
+agree bit for bit.
 
 Training works in scaled coordinates: the trained network sees time in
 hours and emits concentrations divided by each compartment's observed
@@ -28,7 +32,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Var
 
 ACTIVATIONS = ("tanh", "sigmoid", "relu", "sin")
@@ -88,31 +91,31 @@ def init_network(cfg: NetworkConfig) -> Network:
     return Network(cfg, weights, biases)
 
 
-# -- numpy evaluation --------------------------------------------------------
+# -- the activation table ----------------------------------------------------
 
-def _act(name: str, omega: float, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    if name == "relu":
-        return np.where(z > 0, z, 0.0)
-    return np.sin(omega * z)
-
-
-def _act_dual(name: str, omega: float, z: np.ndarray, zdot: np.ndarray):
+def activation(name: str, omega: float, z: np.ndarray):
+    """(f(z), f'(z), f'') of the hidden-layer activation ``name``,
+    elementwise; sin means sin(omega z). The one place each activation's
+    calculus is written: the numpy passes and the tape read it. f'' comes
+    as a function of no arguments, since only the reverse sweep needs it."""
     if name == "tanh":
         a = np.tanh(z)
-        return a, (1.0 - a * a) * zdot
+        d1 = 1.0 - a * a
+        return a, d1, lambda: -2.0 * a * d1
     if name == "sigmoid":
         a = 1.0 / (1.0 + np.exp(-z))
-        return a, a * (1.0 - a) * zdot
+        d1 = a * (1.0 - a)
+        return a, d1, lambda: d1 * (1.0 - 2.0 * a)
     if name == "relu":
+        # subgradient 0 at exactly z = 0; f'' is 0 and broadcasts
         mask = z > 0
-        return np.where(mask, z, 0.0), mask * zdot
-    a = np.sin(omega * z)
-    return a, omega * np.cos(omega * z) * zdot
+        return np.where(mask, z, 0.0), mask.astype(float), lambda: 0.0
+    wz = omega * z
+    a = np.sin(wz)
+    return a, omega * np.cos(wz), lambda: -(omega * omega) * a
 
+
+# -- numpy evaluation --------------------------------------------------------
 
 def _as_input(t_hat) -> np.ndarray:
     x = np.atleast_1d(np.asarray(t_hat, dtype=float))
@@ -124,7 +127,7 @@ def forward(net: Network, t_hat) -> np.ndarray:
     cfg = net.config
     x = _as_input(t_hat)
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        x = _act(cfg.activation, cfg.omega, W @ x + b)
+        x = activation(cfg.activation, cfg.omega, W @ x + b)[0]
     return net.weights[-1] @ x + net.biases[-1]
 
 
@@ -134,24 +137,23 @@ def forward_with_time_derivative(net: Network, t_hat):
     x = _as_input(t_hat)
     xdot = np.ones_like(x)
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        x, xdot = _act_dual(cfg.activation, cfg.omega, W @ x + b, W @ xdot)
+        x, d1, _ = activation(cfg.activation, cfg.omega, W @ x + b)
+        xdot = d1 * (W @ xdot)
     return net.weights[-1] @ x + net.biases[-1], net.weights[-1] @ xdot
 
 
 # -- tape evaluation ---------------------------------------------------------
 
 def _act_tape_dual(name: str, omega: float, z: Var, zdot: Var):
-    if name == "tanh":
-        a = ad.tanh(z)
-        return a, (1.0 - a * a) * zdot
-    if name == "sigmoid":
-        a = ad.sigmoid(z)
-        return a, a * (1.0 - a) * zdot
-    if name == "relu":
-        mask = Var(z.value > 0, op="relu-mask")
-        return ad.relu(z), mask * zdot
-    a = ad.sin(omega * z)
-    return a, omega * ad.cos(omega * z) * zdot
+    """A layer's activation as two tape nodes with analytic adjoints: the
+    value a = f(z), and the tangent f'(z) zdot, whose adjoints to z and
+    zdot are g f''(z) zdot and g f'(z)."""
+    a, d1, d2 = activation(name, omega, z.value)
+    zd = zdot.value
+    value = Var(a, (z,), lambda g: (g * d1,), op=name)
+    tangent = Var(d1 * zd, (z, zdot), lambda g: (g * d2() * zd, g * d1),
+                  op=f"{name}-tangent")
+    return value, tangent
 
 
 def forward_dual_tape(cfg: NetworkConfig, weights: list[Var],

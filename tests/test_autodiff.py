@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brainpbpk import autodiff as ad
 from brainpbpk.autodiff import NonFiniteGradient, Var, backward, grad
 
 
@@ -82,32 +81,6 @@ class TestElementaryOps:
         assert np.allclose(leaf.grad, 3.0)
 
 
-class TestActivations:
-    @pytest.mark.parametrize("fn,name", [(ad.tanh, "tanh"),
-                                         (ad.sigmoid, "sigmoid"),
-                                         (ad.sin, "sin"),
-                                         (ad.cos, "cos"),
-                                         (ad.exp, "exp")])
-    def test_smooth_activations_match_fd(self, fn, name):
-        x = np.linspace(-2.0, 2.0, 7)
-        check_against_fd(lambda v: (fn(v) * fn(v)).sum(), x)
-
-    def test_relu_away_from_kink(self):
-        x = np.array([-1.5, -0.3, 0.4, 2.0])
-        check_against_fd(lambda v: (ad.relu(v) * 3.0).sum(), x)
-
-    def test_relu_subgradient_zero_at_zero(self):
-        leaf = Var(np.array([0.0, 1.0]))
-        backward(ad.relu(leaf).sum())
-        assert np.array_equal(leaf.grad, [0.0, 1.0])
-
-    def test_tanh_derivative_closed_form(self):
-        x = np.array([0.3, -0.7])
-        leaf = Var(x)
-        backward(ad.tanh(leaf).sum())
-        assert np.allclose(leaf.grad, 1.0 - np.tanh(x) ** 2, atol=1e-15)
-
-
 class TestBackwardSweep:
     def test_shared_subexpression_accumulates(self):
         # y = x*x + x*x must give dy/dx = 4x, visiting the shared node once
@@ -158,12 +131,15 @@ class TestBackwardSweep:
 @given(st.integers(0, 2**31))
 @settings(max_examples=20, deadline=None)
 def test_random_expression_gradients(seed):
+    # every tape op, reflected forms included, in one expression
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.5, 1.5, size=5)
     w = rng.normal(size=(3, 5))
 
     def build(v):
-        h = ad.tanh(Var(w) @ v)
-        return (ad.sigmoid(h) * ad.sin(h) + ad.exp(v * 0.3).sum()).sum()
+        h = Var(w) @ v
+        s = (h * h + 1.0) ** 1.5
+        r = (v[:3] - 2.0 * h) * (1.0 / s) - (-v[2:]) * (3.0 - h) / s
+        return r.sum() + (v * v).mean()
 
     check_against_fd(build, x, tol=1e-6)

@@ -103,7 +103,9 @@ class TestTrain:
     @pytest.mark.parametrize("flags", [
         ["--lr", "-1"], ["--lr", "nan"], ["--lr", "inf"], ["--layers", "0"],
         ["--iters", "-1"], ["--log-stride", "0"], ["--weights-ic", "-1"],
-        ["--weights-ode", "nan"], ["--weights-data", "inf"]])
+        ["--weights-ode", "nan"], ["--weights-data", "inf"],
+        ["--prediction-points", "1"], ["--prediction-points", "0"],
+        ["--prediction-points", "-3"]])
     def test_bad_config_is_an_error(self, dataset_dir, tmp_path, flags):
         with pytest.raises(SystemExit, match="^error: "):
             main(["train", "--data", str(dataset_dir / "dataset.csv"),
@@ -151,12 +153,15 @@ class TestFitDe:
             main(["fit-de", "--data", str(data), "--free", "Vbb",
                   "--generations", "1", "--out", str(tmp_path / "out")])
 
-    @pytest.mark.parametrize("population", ["2", "-1"])
-    def test_bad_config_is_an_error(self, dataset_dir, tmp_path, population):
-        with pytest.raises(SystemExit, match="^error: population"):
+    @pytest.mark.parametrize("flag,value", [
+        pytest.param("--population", "2", id="2"),
+        pytest.param("--population", "-1", id="-1"),
+        pytest.param("--generations", "-1", id="generations=-1")])
+    def test_bad_config_is_an_error(self, dataset_dir, tmp_path, flag, value):
+        with pytest.raises(SystemExit, match=f"^error: {flag[2:]}"):
             main(["fit-de", "--data", str(dataset_dir / "dataset.csv"),
                   "--free", "Vbb", "--generations", "1",
-                  "--population", population, "--out", str(tmp_path / "out")])
+                  flag, value, "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
     def test_box_outside_valid_range_is_an_error(self, dataset_dir, tmp_path):

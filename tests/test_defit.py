@@ -82,6 +82,10 @@ class TestDifferentialEvolution:
         with pytest.raises(ValueError):
             DEConfig(crossover=1.5)
         with pytest.raises(ValueError):
+            DEConfig(generations=-1)
+        with pytest.raises(ValueError):
+            DEConfig(stagnation_window=0)
+        with pytest.raises(ValueError):
             differential_evolution(lambda X: np.zeros(len(X)), [(1.0, 1.0)])
 
     def test_scalar_objective_rejected(self):

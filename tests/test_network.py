@@ -3,8 +3,8 @@ import pytest
 
 from brainpbpk.autodiff import Var, backward
 from brainpbpk.network import (ACTIVATIONS, Network, NetworkConfig,
-                               fold_scales, forward, forward_dual_tape,
-                               forward_with_time_derivative,
+                               activation, fold_scales, forward,
+                               forward_dual_tape, forward_with_time_derivative,
                                init_network, load_network, save_network)
 
 
@@ -108,33 +108,63 @@ class TestTimeDerivative:
         fd = (forward(net, t + eps) - forward(net, t - eps)) / (2 * eps)
         assert np.max(np.abs(dy - fd)) < 1e-5
 
-    def test_gradient_through_derivative(self):
-        # loss built on dY/dt must still match FD in the weights
-        cfg = NetworkConfig(hidden_layers=2, neurons=4, activation="tanh",
-                            seed=5)
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    def test_gradient_through_derivative(self, act):
+        # a loss on both Y and dY/dt reaches both adjoints of both of a
+        # layer's activation nodes; every weight and bias entry is checked
+        cfg = NetworkConfig(hidden_layers=2, neurons=4, activation=act,
+                            omega=2.0, seed=5)
         net = init_network(cfg)
-        t = np.linspace(0, 1, 6)
+        rng = np.random.default_rng(1)
+        for b in net.biases:
+            b += rng.normal(0.0, 0.3, b.shape)
+        t = np.linspace(0.05, 0.95, 6)
 
         def loss_value(nets):
-            _, dy = forward_with_time_derivative(nets, t)
-            return float(np.mean(dy ** 2))
+            y, dy = forward_with_time_derivative(nets, t)
+            return float(np.mean(y * dy) + np.mean(dy ** 2))
 
         ws, bs = wrap(net)
-        _, dy = forward_dual_tape(cfg, ws, bs, t)
-        backward((dy * dy).mean())
+        y, dy = forward_dual_tape(cfg, ws, bs, t)
+        backward((y * dy).mean() + (dy * dy).mean())
 
         eps = 1e-6
-        for li in range(len(net.weights)):
-            W = net.weights[li]
-            idx = (0, 0)
-            pert = net.copy()
-            pert.weights[li][idx] += eps
-            up = loss_value(pert)
-            pert = net.copy()
-            pert.weights[li][idx] -= eps
-            down = loss_value(pert)
-            fd = (up - down) / (2 * eps)
-            assert ws[li].grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+        for kind, leaves in (("weights", ws), ("biases", bs)):
+            for li, leaf in enumerate(leaves):
+                for idx in np.ndindex(leaf.shape):
+                    pert = net.copy()
+                    getattr(pert, kind)[li][idx] += eps
+                    up = loss_value(pert)
+                    pert = net.copy()
+                    getattr(pert, kind)[li][idx] -= eps
+                    down = loss_value(pert)
+                    fd = (up - down) / (2 * eps)
+                    assert leaf.grad[idx] == pytest.approx(fd, rel=1e-5,
+                                                           abs=1e-9)
+
+    def test_relu_subgradient_zero_at_zero(self):
+        # one relu neuron, z = 3t + 0: at t = 0 it sits on the kink, where
+        # f' is 0, so only t = 1 reaches the gradient and dY/dt is 0 at t = 0
+        cfg = NetworkConfig(hidden_layers=1, neurons=1, activation="relu")
+        ws = [Var(np.array([[3.0]])), Var(np.full((4, 1), 2.0))]
+        bs = [Var(np.array([[0.0]])), Var(np.zeros((4, 1)))]
+        y, dy = forward_dual_tape(cfg, ws, bs, [0.0, 1.0])
+        assert np.array_equal(dy.value, np.tile([0.0, 6.0], (4, 1)))
+        backward((y + dy).sum())
+        # d/db0 = 4 rows x 2 (via Y); d/dW0 = that x t + 4 x 2 (via dY/dt)
+        assert bs[0].grad[0, 0] == 8.0
+        assert ws[0].grad[0, 0] == 16.0
+
+
+class TestActivationTable:
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    def test_derivatives_match_finite_differences(self, act):
+        z = np.linspace(-2.0, 2.0, 9) + 0.05   # clear of relu's kink
+        _, d1, d2 = activation(act, 2.0, z)
+        eps = 1e-5
+        up, down = activation(act, 2.0, z + eps), activation(act, 2.0, z - eps)
+        assert np.allclose(d1, (up[0] - down[0]) / (2 * eps), atol=1e-8)
+        assert np.allclose(d2(), (up[1] - down[1]) / (2 * eps), atol=1e-8)
 
 
 class TestFoldScales:
