@@ -4,7 +4,9 @@ A minimal tape: every operation creates a ``Var`` holding its value, its
 parents, and a closure that pushes the adjoint back to them. ``backward``
 runs one reverse topological sweep. Values are scalars or ndarrays and
 broadcasting follows numpy semantics (adjoints are sum-reduced back to the
-parent's shape).
+parent's shape). The operators are the ones the PINN loss records: ``+``,
+``-``, ``*`` (also with an ndarray or float on the left), ``**`` by a
+constant, ``@`` of 2-D arrays, indexing and ``sum``.
 
 Adjoints are allocated lazily: a node's ``.grad`` is None until its first
 contribution arrives, which becomes the adjoint as is (later ones are
@@ -51,9 +53,8 @@ class Var:
 
     __slots__ = ("value", "parents", "_backward", "grad", "op")
 
-    # make ndarray OP Var defer to Var's reflected operators
+    # make ndarray * Var defer to Var.__rmul__
     __array_ufunc__ = None
-    __array_priority__ = 1000
 
     def __init__(self, value, parents=(), backward=None, op="leaf"):
         self.value = np.asarray(value, dtype=float)
@@ -84,8 +85,6 @@ class Var:
         out._backward = back
         return out
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = Var._lift(other)
         out = Var(self.value - o.value, (self, o), op="sub")
@@ -94,9 +93,6 @@ class Var:
             return _unbroadcast(g, self.shape), _unbroadcast(-g, o.shape)
         out._backward = back
         return out
-
-    def __rsub__(self, other):
-        return Var._lift(other).__sub__(self)
 
     def __mul__(self, other):
         o = Var._lift(other)
@@ -110,24 +106,6 @@ class Var:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = Var._lift(other)
-        out = Var(self.value / o.value, (self, o), op="div")
-
-        def back(g):
-            return (_unbroadcast(g / o.value, self.shape),
-                    _unbroadcast(-g * self.value / (o.value * o.value), o.shape))
-        out._backward = back
-        return out
-
-    def __rtruediv__(self, other):
-        return Var._lift(other).__truediv__(self)
-
-    def __neg__(self):
-        out = Var(-self.value, (self,), op="neg")
-        out._backward = lambda g: (-g,)
-        return out
-
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise TypeError("only constant exponents are supported")
@@ -140,15 +118,7 @@ class Var:
         out = Var(self.value @ o.value, (self, o), op="matmul")
 
         def back(g):
-            g = np.asarray(g)
-            a, b = self.value, o.value
-            if a.ndim == 1 and b.ndim == 1:
-                return g * b, g * a
-            if b.ndim == 1:
-                return np.outer(g, b), a.T @ g
-            if a.ndim == 1:
-                return g @ b.T, np.outer(a, g)
-            return g @ b.T, a.T @ g
+            return g @ o.value.T, self.value.T @ g
         out._backward = back
         return out
 
@@ -165,12 +135,6 @@ class Var:
     def sum(self):
         out = Var(self.value.sum(), (self,), op="sum")
         out._backward = lambda g: (np.broadcast_to(g, self.shape).copy(),)
-        return out
-
-    def mean(self):
-        n = self.value.size
-        out = Var(self.value.mean(), (self,), op="mean")
-        out._backward = lambda g: (np.broadcast_to(g / n, self.shape).copy(),)
         return out
 
 

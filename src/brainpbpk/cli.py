@@ -19,7 +19,6 @@ import concurrent.futures
 import csv
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -83,29 +82,30 @@ def _config(make, **kwargs):
 
 
 def _read_dataset(path, need_plasma: bool = False) -> ConcentrationSeries:
+    """The dataset at ``path``; an unreadable file, a non-finite cell, fewer
+    than 2 rows or a bad Cplasma column (if needed) exit with an error."""
     try:
         dataset = read_series(path)
-    except (OSError, DataIOError) as err:
+        if len(dataset) < 2:
+            raise ValueError("dataset needs at least 2 rows")
+        if need_plasma:
+            dataset.plasma_profile()  # raises MissingColumn without one
+    except (OSError, DataIOError, ValueError) as err:
         raise SystemExit(f"error: {err}") from None
-    if need_plasma and dataset.plasma is None:
-        raise SystemExit("error: dataset must carry a Cplasma column")
     return dataset
 
 
-def _load_manifest(data_path: str) -> dict | None:
-    manifest = Path(data_path).with_name("manifest.json")
-    if manifest.exists():
-        try:
-            with open(manifest, encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            raise SystemExit(f"error: {manifest}: {err}") from None
-    return None
-
-
 def _reference_from_manifest(data_path: str) -> dict[str, float]:
-    manifest = _load_manifest(data_path)
-    if manifest and "parameters" in manifest:
+    """The parameters of the ``manifest.json`` next to the dataset, or the
+    reference values if it has none."""
+    path, manifest = Path(data_path).with_name("manifest.json"), None
+    if path.exists():
+        try:
+            with open(path, encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        except (OSError, json.JSONDecodeError) as err:
+            raise SystemExit(f"error: {path}: {err}") from None
+    if isinstance(manifest, dict) and "parameters" in manifest:
         return dict(manifest["parameters"])
     return {name: reference_value(name) for name in ALL_PARAM_NAMES}
 
@@ -171,9 +171,9 @@ def cmd_train(args) -> int:
         log_stride=args.log_stride, seed=args.seed)
     if args.prediction_points < 2:
         raise SystemExit("error: --prediction-points must be >= 2")
-    out = _outdir(args.out)
     dataset = _read_dataset(args.data, need_plasma=True)
     reference = _reference_from_manifest(args.data)
+    out = _outdir(args.out)
 
     try:
         net, final_spec, artifacts = train(dataset, spec, net_cfg, train_cfg)
@@ -226,10 +226,9 @@ def cmd_fit_de(args) -> int:
     spec = _estimation_spec(args)
     cfg = _config(DEConfig, population=args.population,
                   generations=args.generations, seed=args.seed)
-    out = _outdir(args.out)
     dataset = _read_dataset(args.data, need_plasma=True)
-
     reference = _reference_from_manifest(args.data)
+    out = _outdir(args.out)
     result = fit_de(dataset, spec, cfg, reference=reference)
     result.write_csv(out / "de_result.csv")
 
@@ -259,8 +258,7 @@ def cmd_fit_de(args) -> int:
 def _sweep_cell(payload):
     """One sweep cell; returns (network config, final loss or None if
     training diverged, seconds)."""
-    data_path, net_cfg, train_cfg = payload
-    dataset = read_series(data_path)
+    dataset, net_cfg, train_cfg = payload
     start = time.perf_counter()
     try:
         _, _, artifacts = train(dataset, default_estimation_spec(), net_cfg,
@@ -285,10 +283,12 @@ def cmd_sweep(args) -> int:
     neuron_counts = _parse_counts("--neurons", args.neurons)
     if not activations or not layer_counts or not neuron_counts:
         raise SystemExit("error: empty sweep grid")
-    iters = 1000 if args.fast else args.iters
-    train_cfg = _config(TrainConfig, iterations=iters, lbfgs_iters=0,
-                        log_stride=max(1, iters // 10), seed=args.seed)
-    cells = [(args.data,
+    if args.jobs < 1:
+        raise SystemExit("error: --jobs must be >= 1")
+    train_cfg = _config(TrainConfig, iterations=args.iters, lbfgs_iters=0,
+                        log_stride=max(1, args.iters // 10), seed=args.seed)
+    dataset = _read_dataset(args.data, need_plasma=True)
+    cells = [(dataset,
               _config(nn.NetworkConfig, hidden_layers=L, neurons=N,
                       activation=act, seed=args.seed,
                       initializer="glorot-uniform"),
@@ -296,10 +296,8 @@ def cmd_sweep(args) -> int:
              for L in layer_counts for act in activations
              for N in neuron_counts]
     out = _outdir(args.out)
-    _read_dataset(args.data, need_plasma=True)  # each cell reads it again
-    jobs = args.jobs or int(os.environ.get("PBPK_IPINN_JOBS", "1"))
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
             results = list(pool.map(_sweep_cell, cells))
     else:
         results = [_sweep_cell(c) for c in cells]
@@ -328,9 +326,9 @@ def cmd_sweep(args) -> int:
 def cmd_metrics(args) -> int:
     if not 0.0 < args.tail_fraction <= 1.0:
         raise SystemExit("error: --tail-fraction must be in (0, 1]")
+    dataset = _read_dataset(args.data)
     out = _outdir(args.out)
-    write_summaries(_read_dataset(args.data), out / "pk_summary.csv",
-                    args.tail_fraction)
+    write_summaries(dataset, out / "pk_summary.csv", args.tail_fraction)
     print(f"wrote {out / 'pk_summary.csv'}")
     return 0
 
@@ -360,8 +358,13 @@ def _read_summary(path: str) -> dict:
 def cmd_compare(args) -> int:
     if len(args.results) < 2:
         raise SystemExit("error: compare needs at least two result summaries")
-    out = _outdir(args.out)
     summaries = [(Path(path), _read_summary(path)) for path in args.results]
+    labeled = [("observed", _read_dataset(args.data))] if args.data else []
+    for path, s in summaries:
+        pred_path = path.parent / s["prediction"]
+        if pred_path.exists():
+            labeled.append((s["label"], _read_dataset(pred_path)))
+    out = _outdir(args.out)
 
     names = list(summaries[0][1]["free"])
     header = ["parameter", "reference"]
@@ -379,13 +382,6 @@ def cmd_compare(args) -> int:
                 row.append("" if e is None else f"{e:.17g}")
             writer.writerow(row)
 
-    labeled = []
-    if args.data:
-        labeled.append(("observed", _read_dataset(args.data)))
-    for path, s in summaries:
-        pred_path = path.parent / s["prediction"]
-        if pred_path.exists():
-            labeled.append((s["label"], _read_dataset(pred_path)))
     if labeled:
         for comp in COMPARTMENTS:
             emit_plot(labeled, comp, out / f"compare_{comp}.svg")
@@ -449,10 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", default="1,2,6")
     p.add_argument("--neurons", default="9,18,27,50")
     p.add_argument("--iters", type=int, default=10_000)
-    p.add_argument("--fast", action="store_true",
-                   help="1000 iterations per cell (CI use)")
-    p.add_argument("--jobs", type=int, default=0,
-                   help="worker pool size; 0 reads PBPK_IPINN_JOBS")
+    p.add_argument("--jobs", type=int, default=1, help="worker pool size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_sweep)

@@ -3,8 +3,8 @@
 The network maps normalized time (shape (1, N)) to the four compartment
 concentrations (shape (4, N)). Hidden layers are affine + activation, the
 output layer is affine. Each activation is written once, in
-``activation``, as its value and its first two derivatives, and both
-evaluation paths read it:
+``activation``, as its value and its first two derivatives (computed only
+on request), and both evaluation paths read it:
 
 * plain numpy (``forward`` / ``forward_with_time_derivative``) for
   prediction and testing, and
@@ -23,7 +23,9 @@ the network that training returns (and that ``network.npz`` holds) maps
 normalized time to concentrations in mg/L.
 
 Checkpoint format (.npz): key ``config`` holds the JSON-encoded
-NetworkConfig; keys ``W0..Wk`` / ``b0..bk`` hold the layer arrays.
+NetworkConfig (older ones also hold the fixed sizes ``input_dim`` = 1 and
+``output_dim`` = 4, which ``load_network`` ignores); keys ``W0..Wk`` /
+``b0..bk`` hold the layer arrays.
 """
 from __future__ import annotations
 
@@ -46,8 +48,6 @@ class NetworkConfig:
     initializer: str = "glorot-normal"
     omega: float = 1.0
     seed: int = 0
-    input_dim: int = 1
-    output_dim: int = 4
 
     def __post_init__(self):
         if self.hidden_layers < 1 or self.neurons < 1:
@@ -77,7 +77,7 @@ class Network:
 def init_network(cfg: NetworkConfig) -> Network:
     """Glorot-initialized weights, zero biases, deterministic under seed."""
     rng = np.random.default_rng(cfg.seed)
-    dims = [cfg.input_dim] + [cfg.neurons] * cfg.hidden_layers + [cfg.output_dim]
+    dims = [1] + [cfg.neurons] * cfg.hidden_layers + [4]
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         if cfg.initializer == "glorot-uniform":
@@ -94,25 +94,24 @@ def init_network(cfg: NetworkConfig) -> Network:
 # -- the activation table ----------------------------------------------------
 
 def activation(name: str, omega: float, z: np.ndarray):
-    """(f(z), f'(z), f'') of the hidden-layer activation ``name``,
+    """(f(z), f', f'') of the hidden-layer activation ``name``,
     elementwise; sin means sin(omega z). The one place each activation's
-    calculus is written: the numpy passes and the tape read it. f'' comes
-    as a function of no arguments, since only the reverse sweep needs it."""
+    calculus is written: the numpy passes and the tape read it. f' comes
+    as a function of no arguments and f'' as a function of f', so each is
+    computed only by a pass that needs it."""
     if name == "tanh":
         a = np.tanh(z)
-        d1 = 1.0 - a * a
-        return a, d1, lambda: -2.0 * a * d1
+        return a, lambda: 1.0 - a * a, lambda d1: -2.0 * a * d1
     if name == "sigmoid":
         a = 1.0 / (1.0 + np.exp(-z))
-        d1 = a * (1.0 - a)
-        return a, d1, lambda: d1 * (1.0 - 2.0 * a)
+        return a, lambda: a * (1.0 - a), lambda d1: d1 * (1.0 - 2.0 * a)
     if name == "relu":
         # subgradient 0 at exactly z = 0; f'' is 0 and broadcasts
         mask = z > 0
-        return np.where(mask, z, 0.0), mask.astype(float), lambda: 0.0
+        return np.where(mask, z, 0.0), lambda: mask.astype(float), lambda d1: 0.0
     wz = omega * z
     a = np.sin(wz)
-    return a, omega * np.cos(wz), lambda: -(omega * omega) * a
+    return a, lambda: omega * np.cos(wz), lambda d1: -(omega * omega) * a
 
 
 # -- numpy evaluation --------------------------------------------------------
@@ -138,7 +137,7 @@ def forward_with_time_derivative(net: Network, t_hat):
     xdot = np.ones_like(x)
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
         x, d1, _ = activation(cfg.activation, cfg.omega, W @ x + b)
-        xdot = d1 * (W @ xdot)
+        xdot = d1() * (W @ xdot)
     return net.weights[-1] @ x + net.biases[-1], net.weights[-1] @ xdot
 
 
@@ -148,10 +147,10 @@ def _act_tape_dual(name: str, omega: float, z: Var, zdot: Var):
     """A layer's activation as two tape nodes with analytic adjoints: the
     value a = f(z), and the tangent f'(z) zdot, whose adjoints to z and
     zdot are g f''(z) zdot and g f'(z)."""
-    a, d1, d2 = activation(name, omega, z.value)
-    zd = zdot.value
+    a, f1, f2 = activation(name, omega, z.value)
+    d1, zd = f1(), zdot.value
     value = Var(a, (z,), lambda g: (g * d1,), op=name)
-    tangent = Var(d1 * zd, (z, zdot), lambda g: (g * d2() * zd, g * d1),
+    tangent = Var(d1 * zd, (z, zdot), lambda g: (g * f2(d1) * zd, g * d1),
                   op=f"{name}-tangent")
     return value, tangent
 
@@ -172,12 +171,11 @@ def fold_scales(net: Network, input_scale: float, output_scale) -> Network:
     scales folded into the parameters: W0 <- input_scale * W0 and the last
     layer (W, b) <- diag(output_scale) * (W, b)."""
     out = np.asarray(output_scale, dtype=float).reshape(-1, 1)
-    weights = [w.copy() for w in net.weights]
-    biases = [b.copy() for b in net.biases]
-    weights[0] = weights[0] * input_scale
-    weights[-1] = out * weights[-1]
-    biases[-1] = out * biases[-1]
-    return Network(net.config, weights, biases)
+    folded = net.copy()
+    folded.weights[0] *= input_scale
+    folded.weights[-1] *= out
+    folded.biases[-1] *= out
+    return folded
 
 
 # -- checkpointing -----------------------------------------------------------
@@ -190,7 +188,9 @@ def save_network(net: Network, path) -> None:
 
 def load_network(path) -> Network:
     with np.load(path, allow_pickle=False) as data:
-        cfg = NetworkConfig(**json.loads(str(data["config"])))
+        fields = json.loads(str(data["config"]))
+        cfg = NetworkConfig(**{k: v for k, v in fields.items()
+                               if k not in ("input_dim", "output_dim")})
         n_layers = cfg.hidden_layers + 1
         weights = [data[f"W{i}"] for i in range(n_layers)]
         biases = [data[f"b{i}"] for i in range(n_layers)]

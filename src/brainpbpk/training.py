@@ -125,10 +125,6 @@ class EstimationSpec:
             substitute(self.base_sys, self.base_drug,
                        {p.name: getattr(p, end) for p in self.free})
 
-    def realized(self):
-        """(SystemParams, DrugParams) with constrained free values applied."""
-        return substitute(self.base_sys, self.base_drug, self.constrained_values())
-
 
 DEFAULT_FREE = ("Vbb", "Vbm", "Vccsf", "Vscsf", "fubb", "lam_ccsf")
 
@@ -290,11 +286,12 @@ def build_problem(dataset: ConcentrationSeries, spec: EstimationSpec,
 # -- optimizers --------------------------------------------------------------
 
 class AdamState:
-    """Standard Adam (beta1=0.9, beta2=0.999, eps=1e-8), bias-corrected, on
-    one flat parameter vector that ``step`` updates in place."""
+    """Standard bias-corrected Adam with the usual constants, on one flat
+    parameter vector that ``step`` updates in place."""
 
-    def __init__(self, theta: np.ndarray, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, theta: np.ndarray):
         self.t = 0
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
@@ -321,10 +318,10 @@ class LBFGSResult:
 
 
 def lbfgs_refine(loss_and_grad, x0: np.ndarray, max_iters: int,
-                 tolerance: float = 1e-12, history: int = 10,
                  callback=None) -> LBFGSResult:
     """Two-loop-recursion L-BFGS with Armijo backtracking; returns the best
     point ever seen, so the loss never increases relative to the start."""
+    tolerance, history = 1e-12, 10  # gradient-norm stop, curvature pairs kept
     x = np.asarray(x0, dtype=float).copy()
     f, g = loss_and_grad(x)
     best_x, best_f = x.copy(), f

@@ -196,7 +196,8 @@ class TestSweep:
     # the bad value sits in the last cell: no cell may run before the check
     @pytest.mark.parametrize("flags", [
         ["--layers", "1,0"], ["--neurons", "2,0"],
-        ["--activations", "tanh,foo"], ["--iters", "-1"]])
+        ["--activations", "tanh,foo"], ["--iters", "-1"], ["--jobs", "0"],
+        ["--jobs", "-3"]])
     def test_bad_config_is_an_error(self, dataset_dir, tmp_path, flags):
         with pytest.raises(SystemExit, match="^error: "):
             main(["sweep", "--data", str(dataset_dir / "dataset.csv"),
@@ -272,3 +273,69 @@ class TestCompare:
         with pytest.raises(SystemExit):
             main(["compare", "--results", "one.json",
                   "--out", str(tmp_path)])
+
+
+def bad_dataset(dataset_dir, tmp_path, kind):
+    """A copy of the dataset with one defect, alone in a new directory:
+    a NaN or inf concentration, a negative plasma value, or one row."""
+    lines = (dataset_dir / "dataset.csv").read_text().splitlines()
+    header, rows = lines[0], [r.split(",") for r in lines[1:]]
+    if kind == "nan":
+        rows[3][1] = "nan"
+    elif kind == "inf":
+        rows[3][2] = "inf"
+    elif kind == "negative-plasma":
+        rows[3][5] = "-1"
+    else:
+        rows = rows[:1]
+    path = tmp_path / "bad" / "dataset.csv"
+    path.parent.mkdir()
+    path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+    return str(path)
+
+
+class TestBadDataset:
+    """Every command that reads a dataset turns a defect in it into an
+    ``error:`` exit before it makes the output directory."""
+
+    COMMANDS = {
+        "train": ["train", "--layers", "1", "--neurons", "2", "--iters", "1",
+                  "--lbfgs-iters", "0"],
+        "fit-de": ["fit-de", "--free", "Vbb", "--generations", "1"],
+        "sweep": ["sweep", "--activations", "tanh", "--layers", "1",
+                  "--neurons", "2", "--iters", "1"],
+        "metrics": ["metrics"],
+    }
+    MESSAGES = {
+        "nan": "column Cbb contains non-finite values",
+        "inf": "column Cbm contains non-finite values",
+        "negative-plasma": "plasma concentrations must be non-negative",
+        "one-row": "dataset needs at least 2 rows",
+    }
+
+    @pytest.mark.parametrize("command,kind", [
+        (command, kind) for command in ("train", "fit-de", "sweep")
+        for kind in ("nan", "inf", "negative-plasma", "one-row")] + [
+        ("metrics", kind) for kind in ("nan", "inf", "one-row")])
+    def test_defect_is_an_error(self, dataset_dir, tmp_path, command, kind):
+        data = bad_dataset(dataset_dir, tmp_path, kind)
+        with pytest.raises(SystemExit, match=f"^error: {self.MESSAGES[kind]}"):
+            main([*self.COMMANDS[command], "--data", data,
+                  "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["nan", "inf"])
+    def test_compare_data_defect_is_an_error(self, dataset_dir, tmp_path,
+                                             kind):
+        results = []
+        for label in ("A", "B"):
+            path = tmp_path / f"{label}.json"
+            path.write_text(json.dumps({
+                "label": label, "free": ["Vbb"], "values": {"Vbb": 0.06},
+                "abs_errors": {}, "prediction": "none.csv"}))
+            results.append(str(path))
+        data = bad_dataset(dataset_dir, tmp_path, kind)
+        with pytest.raises(SystemExit, match=f"^error: {self.MESSAGES[kind]}"):
+            main(["compare", "--results", *results, "--data", data,
+                  "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -122,11 +125,11 @@ class TestTimeDerivative:
 
         def loss_value(nets):
             y, dy = forward_with_time_derivative(nets, t)
-            return float(np.mean(y * dy) + np.mean(dy ** 2))
+            return float(np.sum(y * dy) + np.sum(dy ** 2))
 
         ws, bs = wrap(net)
         y, dy = forward_dual_tape(cfg, ws, bs, t)
-        backward((y * dy).mean() + (dy * dy).mean())
+        backward((y * dy).sum() + (dy * dy).sum())
 
         eps = 1e-6
         for kind, leaves in (("weights", ws), ("biases", bs)):
@@ -160,11 +163,13 @@ class TestActivationTable:
     @pytest.mark.parametrize("act", ACTIVATIONS)
     def test_derivatives_match_finite_differences(self, act):
         z = np.linspace(-2.0, 2.0, 9) + 0.05   # clear of relu's kink
-        _, d1, d2 = activation(act, 2.0, z)
+        _, f1, f2 = activation(act, 2.0, z)
+        d1 = f1()
         eps = 1e-5
         up, down = activation(act, 2.0, z + eps), activation(act, 2.0, z - eps)
         assert np.allclose(d1, (up[0] - down[0]) / (2 * eps), atol=1e-8)
-        assert np.allclose(d2(), (up[1] - down[1]) / (2 * eps), atol=1e-8)
+        assert np.allclose(f2(d1), (up[1]() - down[1]()) / (2 * eps),
+                           atol=1e-8)
 
 
 class TestFoldScales:
@@ -199,6 +204,18 @@ class TestCheckpoint:
         path = tmp_path / "net.npz"
         save_network(net, path)
         back = load_network(path)
+        assert back.config == net.config
+        t = np.linspace(0, 1, 5)
+        assert np.array_equal(forward(back, t), forward(net, t))
+
+    def test_config_with_io_sizes_loads(self, tmp_path):
+        # older checkpoints also record input_dim = 1 and output_dim = 4
+        net = init_network(NetworkConfig(hidden_layers=2, neurons=3, seed=7))
+        config = {**asdict(net.config), "input_dim": 1, "output_dim": 4}
+        arrays = {f"W{i}": w for i, w in enumerate(net.weights)}
+        arrays.update({f"b{i}": b for i, b in enumerate(net.biases)})
+        np.savez(tmp_path / "old.npz", config=json.dumps(config), **arrays)
+        back = load_network(tmp_path / "old.npz")
         assert back.config == net.config
         t = np.linspace(0, 1, 5)
         assert np.array_equal(forward(back, t), forward(net, t))

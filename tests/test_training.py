@@ -8,7 +8,8 @@ from brainpbpk import training
 from brainpbpk.autodiff import Var, grad
 from brainpbpk.dataio import linear_interp
 from brainpbpk.model import influx_terms, volumes
-from brainpbpk.params import DrugParams, SystemParams, reference_value
+from brainpbpk.params import (DrugParams, SystemParams, reference_value,
+                              substitute)
 from brainpbpk.solvers import synthesize_dataset
 from brainpbpk.training import (DEFAULT_FREE, AdamState, BoundedParam,
                                 EstimationSpec, LossWeights, TrainConfig,
@@ -61,7 +62,8 @@ class TestEstimationSpec:
 
     def test_realized_substitutes_free_values(self):
         spec = default_estimation_spec(free_names=("Vbb",))
-        s, d = spec.realized()
+        s, d = substitute(spec.base_sys, spec.base_drug,
+                          spec.constrained_values())
         assert s.Vbb == pytest.approx(constrain(spec.free[0]))
         assert s.Vbm == SystemParams().Vbm
 
@@ -123,7 +125,8 @@ def ode_loss(net: nn.Network, spec: EstimationSpec, plasma,
     Y, Ydot_hat = nn.forward_with_time_derivative(net, t / horizon)
     dYdt = Ydot_hat / horizon
     cart = linear_interp(plasma, t)
-    sys_r, drug_r = spec.realized()
+    sys_r, drug_r = substitute(spec.base_sys, spec.base_drug,
+                               spec.constrained_values())
     J = influx_terms((Y[0], Y[1], Y[2], Y[3]), cart, sys_r, drug_r)
     resid = np.array([v * dYdt[k] - J[k]
                       for k, v in enumerate(volumes(sys_r))])
