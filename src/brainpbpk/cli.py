@@ -90,8 +90,10 @@ def _read_dataset(path, need_plasma: bool = False) -> ConcentrationSeries:
             raise ValueError("dataset needs at least 2 rows")
         if need_plasma:
             dataset.plasma_profile()  # raises MissingColumn without one
-    except (OSError, DataIOError, ValueError) as err:
+    except OSError as err:
         raise SystemExit(f"error: {err}") from None
+    except (DataIOError, ValueError) as err:
+        raise SystemExit(f"error: {path}: {err}") from None
     return dataset
 
 
@@ -227,6 +229,9 @@ def cmd_fit_de(args) -> int:
     cfg = _config(DEConfig, population=args.population,
                   generations=args.generations, seed=args.seed)
     dataset = _read_dataset(args.data, need_plasma=True)
+    if dataset.times[0] < 0:
+        raise SystemExit(f"error: {args.data}: times must start at or after "
+                         "the dose at t=0")
     reference = _reference_from_manifest(args.data)
     out = _outdir(args.out)
     result = fit_de(dataset, spec, cfg, reference=reference)

@@ -8,9 +8,14 @@ with piecewise-linear forcing (used as the ground-truth oracle).
 
 The exact propagator works on a stack of rate matrices at once
 (``propagate_states``), so the DE objective scores a whole population in
-one solve. It computes the transition operators once per distinct step
-length with one batched ``expm`` call, then runs a single array recurrence
-over the breakpoints; ``expm_propagate`` is its one-matrix form.
+one solve; ``expm_propagate`` is its one-matrix form. Each step is an
+affine map y+ = Phi y + d whose operators come from one batched ``expm``
+call. On a uniform grid (every ``np.linspace`` grid) there is one step
+length, so one 6x6 exponential per matrix, and the states are found by a
+doubling scan in ceil(log2 n) array operations. Any other grid, e.g. data
+sampled at irregular times, takes one exponential per distinct step length
+and a recurrence over the breakpoints, which also serves as the test
+oracle of the scan.
 """
 from __future__ import annotations
 
@@ -204,25 +209,49 @@ def _transition_ops(A: np.ndarray, f: np.ndarray, dts: np.ndarray):
 
 
 def _propagate(A, f, y0, plasma: PlasmaProfile, grid: np.ndarray, t0: float):
-    """Breakpoints and the states at each of them, shape (n, ..., 4).
+    """Breakpoints and the states at each of them, shape (..., 4, n).
 
     Intervals are split at plasma knots so the forcing is affine on each
-    piece. Transition operators are computed once per distinct step length
-    (to 14 decimals), so a uniform grid costs a few 6x6 exponentials per
-    matrix, not one per step. Non-finite states are left in place for the
-    caller to judge.
+    piece; over a step of length dt the update is the affine map
+    y+ = Phi y + d with d = c0*Psi0 + c1*Psi1 (see ``_transition_ops``).
+
+    A uniform grid (every step equal to within a few ulps of its largest
+    time, as ``np.linspace`` makes them) needs one operator per matrix, and
+    the states are the prefix sums of one affine map: column 0 holds y0,
+    column k the drive of step k, and ceil(log2 n) doubling levels
+    ``v[k] += P v[k - s]; P = P @ P`` (a Hillis-Steele scan) replace the
+    per-step recurrence. Any other grid takes one operator per distinct
+    step length (to 14 decimals) and a recurrence over the breakpoints.
+    Non-finite states are left in place for the caller to judge.
     """
+    if grid[0] < t0 - 1e-12:
+        raise ValueError("output grid must start at or after t0")
     A, f = np.asarray(A, dtype=float), np.asarray(f, dtype=float)
     knots = plasma.times[(plasma.times > t0) & (plasma.times < grid[-1])]
     breakpoints = np.unique(np.concatenate([[t0], grid, knots]))
-    breakpoints = breakpoints[breakpoints >= t0 - 1e-15]
-
     dts = np.diff(breakpoints)
+    cart = np.interp(breakpoints, plasma.times, plasma.values)
+    c0, c1 = cart[:-1], np.diff(cart) / dts
+    uniform = dts.size > 0 and (np.ptp(dts) <= 4 * np.finfo(float).eps
+                                * np.max(np.abs(breakpoints[[0, -1]])))
+
+    if uniform:
+        Phi, Psi0, Psi1 = (op[0] for op in _transition_ops(A, f, dts[:1]))
+        states = np.empty(Psi0.shape[:-1] + (breakpoints.size,))
+        states[..., 0] = y0
+        states[..., 1:] = c0 * Psi0 + c1 * Psi1
+        with np.errstate(over="ignore", invalid="ignore"):
+            shift, P = 1, Phi
+            while shift < breakpoints.size:
+                states[..., shift:] += P @ states[..., :-shift]
+                shift *= 2
+                if shift < breakpoints.size:
+                    P = P @ P
+        return breakpoints, states
+
     _, first, step_op = np.unique(np.round(dts, 14), return_index=True,
                                   return_inverse=True)
     Phi, Psi0, Psi1 = _transition_ops(A, f, dts[first])
-    cart = np.interp(breakpoints, plasma.times, plasma.values)
-    c0, c1 = cart[:-1], np.diff(cart) / dts
     per_step = (-1,) + (1,) * (Psi0.ndim - 1)
     drive = c0.reshape(per_step) * Psi0[step_op]
     drive += c1.reshape(per_step) * Psi1[step_op]
@@ -234,7 +263,7 @@ def _propagate(A, f, y0, plasma: PlasmaProfile, grid: np.ndarray, t0: float):
         for i, k in enumerate(step_op.tolist()):
             y = Phi[k] @ y + drive[i]
             states[i + 1] = y
-    return breakpoints, states[..., 0]
+    return breakpoints, np.moveaxis(states[..., 0], 0, -1)
 
 
 def propagate_states(A, f, y0, plasma: PlasmaProfile, grid,
@@ -245,25 +274,27 @@ def propagate_states(A, f, y0, plasma: PlasmaProfile, grid,
     vectors; every system starts from ``y0``. Returns the states on the
     grid as ``(..., 4, len(grid))``, the layout of
     ``ConcentrationSeries.concentrations``. A system that blows up yields
-    non-finite entries rather than an exception.
+    non-finite entries rather than an exception; a grid that starts before
+    ``t0`` raises ValueError.
     """
     grid = np.asarray(grid, dtype=float)
     breakpoints, states = _propagate(A, f, y0, plasma, grid, t0)
-    return np.moveaxis(states[np.searchsorted(breakpoints, grid)], 0, -1)
+    return states[..., np.searchsorted(breakpoints, grid)]
 
 
 def expm_propagate(A: np.ndarray, f: np.ndarray, y0, plasma: PlasmaProfile,
                    grid, t0: float = 0.0) -> ConcentrationSeries:
     """Exact propagation of Y' = A Y + f Cart(t) on the grid, for one state
     matrix ``A (4, 4)`` and forcing vector ``f (4,)``; raises
-    NonFiniteState at the first breakpoint where the state is not finite."""
+    NonFiniteState at the first breakpoint where the state is not finite,
+    and ValueError if the grid starts before ``t0``."""
     grid = np.asarray(grid, dtype=float)
     breakpoints, states = _propagate(A, f, y0, plasma, grid, t0)
-    bad = ~np.all(np.isfinite(states), axis=1)
+    bad = ~np.all(np.isfinite(states), axis=0)
     if bad.any():
         raise NonFiniteState(
             f"non-finite state at t={breakpoints[np.argmax(bad)]:.6g}")
-    return _series_from(grid, states[np.searchsorted(breakpoints, grid)],
+    return _series_from(grid, states[:, np.searchsorted(breakpoints, grid)].T,
                         plasma)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import pytest
@@ -172,6 +173,21 @@ class TestFitDe:
                   "--generations", "1", "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
+    def test_times_before_dose_are_an_error(self, dataset_dir, tmp_path):
+        # the model starts from zero states at t=0, so no row may come earlier
+        lines = (dataset_dir / "dataset.csv").read_text().splitlines()
+        rows = [r.split(",") for r in lines[1:]]
+        for row in rows:
+            row[0] = repr(float(row[0]) - 2.0)
+        data = tmp_path / "early.csv"
+        data.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]))
+        with pytest.raises(SystemExit,
+                           match=f"^error: {re.escape(str(data))}: times must "
+                                 "start at or after the dose at t=0$"):
+            main(["fit-de", "--data", str(data), "--free", "Vbb",
+                  "--generations", "1", "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweep:
     def test_tiny_grid(self, dataset_dir, tmp_path):
@@ -189,7 +205,8 @@ class TestSweep:
     def test_malformed_dataset_is_an_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")
-        with pytest.raises(SystemExit, match="^error: missing required column"):
+        with pytest.raises(SystemExit, match=f"^error: {re.escape(str(bad))}: "
+                                             "missing required column"):
             main(["sweep", "--data", str(bad), "--layers", "1",
                   "--neurons", "2", "--iters", "1", "--out", str(tmp_path)])
 
@@ -263,8 +280,10 @@ class TestCompare:
             assert main(["fit-de", "--data", str(dataset_dir / "dataset.csv"),
                          "--free", "Vbb", "--generations", "1",
                          "--out", str(tmp_path / name)]) == 0
-        (tmp_path / "b" / "prediction.csv").write_text("garbage\n")
-        with pytest.raises(SystemExit, match="^error: missing required column"):
+        bad = tmp_path / "b" / "prediction.csv"
+        bad.write_text("garbage\n")
+        with pytest.raises(SystemExit, match=f"^error: {re.escape(str(bad))}: "
+                                             "missing required column"):
             main(["compare", "--results", str(tmp_path / "a" / "summary.json"),
                   str(tmp_path / "b" / "summary.json"),
                   "--out", str(tmp_path / "cmp")])
@@ -319,7 +338,8 @@ class TestBadDataset:
         ("metrics", kind) for kind in ("nan", "inf", "one-row")])
     def test_defect_is_an_error(self, dataset_dir, tmp_path, command, kind):
         data = bad_dataset(dataset_dir, tmp_path, kind)
-        with pytest.raises(SystemExit, match=f"^error: {self.MESSAGES[kind]}"):
+        with pytest.raises(SystemExit, match=f"^error: {re.escape(data)}: "
+                                             f"{self.MESSAGES[kind]}"):
             main([*self.COMMANDS[command], "--data", data,
                   "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
@@ -335,7 +355,8 @@ class TestBadDataset:
                 "abs_errors": {}, "prediction": "none.csv"}))
             results.append(str(path))
         data = bad_dataset(dataset_dir, tmp_path, kind)
-        with pytest.raises(SystemExit, match=f"^error: {self.MESSAGES[kind]}"):
+        with pytest.raises(SystemExit, match=f"^error: {re.escape(data)}: "
+                                             f"{self.MESSAGES[kind]}"):
             main(["compare", "--results", *results, "--data", data,
                   "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brainpbpk import solvers
 from brainpbpk.dataio import PlasmaProfile
 from brainpbpk.model import assemble_matrix
 from brainpbpk.params import DrugParams, ModelVariant, SystemParams
@@ -122,8 +123,65 @@ class TestExpmPropagate:
             expm_propagate(50.0 * np.eye(4), FORCING, np.ones(4),
                            constant_plasma(0.0), grid)
 
+    def test_grid_before_t0_rejected(self):
+        grid = np.linspace(-2.0, 1.0, 4)
+        with pytest.raises(ValueError, match="start at or after t0"):
+            expm_propagate(assemble_matrix(SYS, DRUG), FORCING, np.zeros(4),
+                           constant_plasma(0.05), grid)
+
+
+def knotted(plasma, t):
+    """The same piecewise-linear plasma with one more knot, at time t."""
+    times = np.insert(plasma.times, np.searchsorted(plasma.times, t), t)
+    return PlasmaProfile(times, np.interp(times, plasma.times, plasma.values))
+
 
 class TestPropagateStates:
+    @pytest.mark.parametrize("rows", [None, 60])
+    def test_doubling_scan_matches_step_loop(self, rows):
+        # a plasma knot inside one step splits it, so the knotted solve
+        # takes the per-step loop over the same ODE as the uniform scan
+        grid = np.linspace(0.0, 48.0, 200)
+        plasma = PlasmaSpec().sample(grid)
+        rng = np.random.default_rng(7)
+        systems = [SYS] if rows is None else [
+            SystemParams(Vbb=rng.uniform(0.03, 0.2), Vbm=rng.uniform(0.5, 2.0),
+                         Vccsf=rng.uniform(0.05, 0.5),
+                         Vscsf=rng.uniform(0.01, 0.1)) for _ in range(rows)]
+        A = np.stack([assemble_matrix(s, DRUG) for s in systems])
+        f = np.array([s.Qbrain / s.Vbb * E1 for s in systems])
+        if rows is None:
+            A, f = A[0], f[0]
+        scan = propagate_states(A, f, np.zeros(4), plasma, grid)
+        loop = propagate_states(A, f, np.zeros(4),
+                                knotted(plasma, 0.5 * (grid[7] + grid[8])), grid)
+        assert scan.shape == loop.shape == A.shape[:-2] + (4, grid.size)
+        peak = np.max(np.abs(loop), axis=-1, keepdims=True)
+        assert np.max(np.abs(scan - loop) / peak) <= 1e-13
+
+    def test_uniform_grid_one_expm_slice_per_system(self, monkeypatch):
+        shapes, expm = [], solvers.expm
+
+        def spy(M):
+            shapes.append(M.shape)
+            return expm(M)
+
+        monkeypatch.setattr(solvers, "expm", spy)
+        grid = np.linspace(0.0, 48.0, 200)
+        plasma = PlasmaSpec().sample(grid)
+        A = assemble_matrix(SYS, DRUG)
+        propagate_states(A, FORCING, np.zeros(4), plasma, grid)
+        propagate_states(np.stack([A] * 3), np.stack([FORCING] * 3),
+                         np.zeros(4), plasma, grid)
+        assert shapes == [(1, 6, 6), (3, 1, 6, 6)]
+
+    def test_grid_before_t0_rejected(self):
+        grid = np.linspace(0.0, 1.0, 3)
+        A = np.stack([assemble_matrix(SYS, DRUG)] * 2)
+        with pytest.raises(ValueError, match="start at or after t0"):
+            propagate_states(A, np.stack([FORCING] * 2), np.zeros(4),
+                             constant_plasma(0.05), grid, t0=0.5)
+
     def test_batched_rows_match_single_solves(self):
         grid = np.linspace(0.0, 48.0, 60)
         plasma = PlasmaSpec().sample(np.linspace(0.0, 48.0, 25))
