@@ -108,7 +108,12 @@ def _reference_from_manifest(data_path: str) -> dict[str, float]:
         except (OSError, json.JSONDecodeError) as err:
             raise SystemExit(f"error: {path}: {err}") from None
     if isinstance(manifest, dict) and "parameters" in manifest:
-        return dict(manifest["parameters"])
+        params = manifest["parameters"]
+        if not (isinstance(params, dict)
+                and all(type(v) in (int, float) for v in params.values())):
+            raise SystemExit(f"error: {path}: parameters must map names to "
+                             f"numbers")
+        return dict(params)
     return {name: reference_value(name) for name in ALL_PARAM_NAMES}
 
 
@@ -193,10 +198,8 @@ def cmd_train(args) -> int:
     dense = np.linspace(0.0, horizon, args.prediction_points)
     pred = nn.forward(net, dense / horizon)
     plasma = dataset.plasma_profile()
-    pred_series = ConcentrationSeries(times=dense, Cbb=pred[0], Cbm=pred[1],
-                                      Cccsf=pred[2], Cscsf=pred[3],
-                                      plasma=linear_interp(plasma, dense))
-    write_series(pred_series, out / "prediction.csv")
+    write_series(ConcentrationSeries(dense, pred, linear_interp(plasma, dense)),
+                 out / "prediction.csv")
 
     values = final_spec.constrained_values()
     errors = [abs(reference[n] - values[n]) if n in reference else None
@@ -341,7 +344,8 @@ def cmd_metrics(args) -> int:
 # -- compare -----------------------------------------------------------------
 
 def _read_summary(path: str) -> dict:
-    """A ``summary.json`` as ``train`` and ``fit-de`` write it."""
+    """A ``summary.json`` as ``train`` and ``fit-de`` write it; any other
+    shape or type exits with an error."""
     try:
         with open(path, encoding="utf-8") as fh:
             summary = json.load(fh)
@@ -353,10 +357,19 @@ def _read_summary(path: str) -> dict:
                if k not in summary]
     if missing:
         raise SystemExit(f"error: {path}: summary lacks {', '.join(missing)}")
-    if not (isinstance(summary["values"], dict)
-            and isinstance(summary["abs_errors"], dict)):
-        raise SystemExit(f"error: {path}: values and abs_errors must be "
-                         f"mappings")
+    if not all(isinstance(summary[k], dict)
+               and all(type(v) in (int, float) for v in summary[k].values())
+               for k in ("values", "abs_errors")):
+        raise SystemExit(f"error: {path}: values and abs_errors must map "
+                         f"names to numbers")
+    free = summary["free"]
+    if not (isinstance(free, list) and all(n in ALL_PARAM_NAMES for n in free)):
+        raise SystemExit(f"error: {path}: free must be a list of parameter "
+                         f"names, not {free!r}")
+    if not (isinstance(summary["label"], str)
+            and isinstance(summary["prediction"], str)):
+        raise SystemExit(f"error: {path}: label and prediction must be "
+                         f"strings")
     return summary
 
 

@@ -3,16 +3,19 @@
 File formats
 ------------
 Data CSV          header ``Time,Cbb,Cbm,Cccsf,Cscsf,Cplasma`` (plasma column
-                  optional), UTF-8, decimal point, values at 17 significant
-                  digits.
+                  optional).
 Loss-history CSV  header ``iter,loss_data,loss_ode,loss_ic,loss_total``.
 Trajectory CSV    header ``iter,<param1>,<param2>,...``.
 SVG plots         standalone, 1000x700 viewBox, no external assets.
+
+All three CSVs are UTF-8 with CRLF line ends, as the csv module writes them,
+and every cell, ``Time`` and ``iter`` included, is ``%.17g``.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -44,10 +47,6 @@ class NonNumericCell(DataIOError):
 
 class EmptyPlot(DataIOError):
     pass
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 @dataclass(frozen=True)
@@ -83,36 +82,40 @@ def linear_interp(profile: PlasmaProfile, t):
 
 @dataclass(frozen=True)
 class ConcentrationSeries:
-    """Time grid with per-compartment concentrations, optional plasma column."""
+    """``times (N,)``, concentrations ``conc (4, N)`` with one row per
+    compartment in ``model.COMPARTMENTS`` order, optional ``plasma (N,)``."""
 
     times: np.ndarray
-    Cbb: np.ndarray
-    Cbm: np.ndarray
-    Cccsf: np.ndarray
-    Cscsf: np.ndarray
+    conc: np.ndarray
     plasma: np.ndarray | None = None
 
     def __post_init__(self):
-        cols = {"Time": self.times, "Cbb": self.Cbb, "Cbm": self.Cbm,
-                "Cccsf": self.Cccsf, "Cscsf": self.Cscsf}
-        if self.plasma is not None:
-            cols["Cplasma"] = self.plasma
-        n = None
-        for name, c in cols.items():
-            arr = np.asarray(c, dtype=float)
-            field_name = {"Time": "times", "Cplasma": "plasma"}.get(name, name)
-            object.__setattr__(self, field_name, arr)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"column {name} contains non-finite values")
-            if n is None:
-                n = arr.size
-            elif arr.size != n:
-                raise ValueError("all columns must have the same length")
-        if self.times.size > 1 and np.any(np.diff(self.times) <= 0):
+        # C order: the DE residual sum over ``conc`` rounds by memory layout
+        for name in ("times", "conc") + ("plasma",) * (self.plasma is not None):
+            object.__setattr__(self, name, np.ascontiguousarray(
+                getattr(self, name), dtype=float))
+        n = self.times.size
+        if (self.times.ndim != 1 or self.conc.shape != (len(COMPARTMENTS), n)
+                or self.plasma is not None and self.plasma.shape != (n,)):
+            raise ValueError("all columns must have the same length: times "
+                             "(N,), conc (4, N), plasma (N,)")
+        header, blocks = self._columns()
+        finite = np.concatenate([np.isfinite(b).all(axis=1) for b in blocks])
+        if not finite.all():
+            raise ValueError(f"column {header[np.argmin(finite)]} contains "
+                             f"non-finite values")
+        if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 
     def __len__(self) -> int:
         return int(self.times.size)
+
+    def _columns(self):
+        """The CSV header and its columns, as ``(1 or 4, N)`` blocks."""
+        blocks = [self.times[None], self.conc]
+        if self.plasma is None:
+            return _REQUIRED, blocks
+        return _REQUIRED + ("Cplasma",), blocks + [self.plasma[None]]
 
     def column(self, name: str) -> np.ndarray:
         if name == "Time":
@@ -122,12 +125,12 @@ class ConcentrationSeries:
                 raise MissingColumn("Cplasma")
             return self.plasma
         if name in COMPARTMENTS:
-            return getattr(self, name)
+            return self.conc[COMPARTMENTS.index(name)]
         raise KeyError(name)
 
     def concentrations(self) -> np.ndarray:
-        """(4, N) array in compartment order."""
-        return np.stack([self.Cbb, self.Cbm, self.Cccsf, self.Cscsf])
+        """The stored (4, N) array in compartment order."""
+        return self.conc
 
     def plasma_profile(self) -> PlasmaProfile:
         if self.plasma is None:
@@ -138,8 +141,22 @@ class ConcentrationSeries:
 _REQUIRED = ("Time",) + COMPARTMENTS
 
 
+def _write_table(path, header, table) -> None:
+    """``header``, then each row of the ``(rows, len(header))`` table with
+    every cell ``%.17g``, CRLF line ends; formatted 4096 rows at a time so
+    that memory stays bounded on long tables."""
+    table = np.asarray(table, dtype=float).reshape(-1, len(header))
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(table), 4096):
+            block = table[start:start + 4096]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
 def read_series(path) -> ConcentrationSeries:
-    """Parse the data CSV; header names are matched case-insensitively."""
+    """Parse the data CSV; header names are matched case-insensitively,
+    blank rows are skipped and extra columns ignored."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -149,43 +166,32 @@ def read_series(path) -> ConcentrationSeries:
         rows = [r for r in reader if r and any(cell.strip() for cell in r)]
 
     lookup = {h.strip().lower(): i for i, h in enumerate(header)}
-    indices = {}
-    for name in _REQUIRED:
+    has_plasma = "cplasma" in lookup
+    names = _REQUIRED + ("Cplasma",) * has_plasma
+    for name in names:
         if name.lower() not in lookup:
             raise MissingColumn(name)
-        indices[name] = lookup[name.lower()]
-    has_plasma = "cplasma" in lookup
-    if has_plasma:
-        indices["Cplasma"] = lookup["cplasma"]
+    indices = [lookup[name.lower()] for name in names]
+    cells = []
+    try:
+        for row in rows:
+            for i in indices:
+                cells.append(float(row[i]))
+    except (ValueError, IndexError):
+        rownum, col = divmod(len(cells), len(names))
+        raise NonNumericCell(names[col], rownum + 1) from None
+    table = np.array(cells, dtype=float).reshape(-1, len(names)).T
 
-    data = {name: [] for name in indices}
-    for rownum, row in enumerate(rows, start=1):
-        for name, idx in indices.items():
-            try:
-                data[name].append(float(row[idx]))
-            except (ValueError, IndexError):
-                raise NonNumericCell(name, rownum) from None
-
-    times = np.asarray(data["Time"], dtype=float)
-    bad = np.nonzero(np.diff(times) <= 0)[0]
+    bad = np.nonzero(np.diff(table[0]) <= 0)[0]
     if bad.size:
         raise NonMonotonicTime(int(bad[0]) + 2)
-
-    return ConcentrationSeries(
-        times=times, Cbb=data["Cbb"], Cbm=data["Cbm"],
-        Cccsf=data["Cccsf"], Cscsf=data["Cscsf"],
-        plasma=data["Cplasma"] if has_plasma else None)
+    return ConcentrationSeries(table[0], table[1:len(_REQUIRED)],
+                               table[-1] if has_plasma else None)
 
 
 def write_series(series: ConcentrationSeries, path) -> None:
-    cols = list(_REQUIRED)
-    if series.plasma is not None:
-        cols.append("Cplasma")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        writer.writerows(zip(*(map(_fmt, series.column(c).tolist())
-                               for c in cols)))
+    header, blocks = series._columns()
+    _write_table(path, header, np.vstack(blocks).T)
 
 
 @dataclass
@@ -217,30 +223,16 @@ class RunArtifacts:
         self.trajectory.append(list(values))
 
     def write_loss_history(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "loss_data", "loss_ode", "loss_ic", "loss_total"])
-            for i, it in enumerate(self.loss_iters):
-                writer.writerow([it, _fmt(self.loss_data[i]), _fmt(self.loss_ode[i]),
-                                 _fmt(self.loss_ic[i]), _fmt(self.loss_total[i])])
+        columns = [self.loss_iters, self.loss_data, self.loss_ode,
+                   self.loss_ic, self.loss_total]
+        _write_table(path, ["iter", "loss_data", "loss_ode", "loss_ic",
+                            "loss_total"], np.transpose(columns))
 
     def write_trajectory(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter"] + list(self.param_names))
-            for it, values in zip(self.loss_iters, self.trajectory):
-                writer.writerow([it] + [_fmt(v) for v in values])
-
-
-def read_loss_history(path):
-    """Loss-history CSV back as a dict of numpy arrays."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    out = {}
-    for key in ("iter", "loss_data", "loss_ode", "loss_ic", "loss_total"):
-        out[key] = np.array([float(r[key]) for r in rows])
-    return out
+        values = np.reshape(self.trajectory, (len(self.loss_iters),
+                                              len(self.param_names)))
+        _write_table(path, ["iter", *self.param_names],
+                     np.column_stack([self.loss_iters, values]))
 
 
 # --- SVG line plots ---------------------------------------------------------
@@ -253,7 +245,8 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 def emit_plot(labeled_series, compartment: str, path) -> None:
     """Write a standalone SVG overlaying one polyline per labeled series.
 
-    ``labeled_series`` is a sequence of (label, ConcentrationSeries) pairs.
+    ``labeled_series`` is a sequence of (label, ConcentrationSeries) pairs;
+    labels are written as XML text, escaped.
     """
     labeled_series = list(labeled_series)
     if not labeled_series:
@@ -298,7 +291,7 @@ def emit_plot(labeled_series, compartment: str, path) -> None:
         parts.append(f'<line x1="{_SVG_W - 230}" y1="{ly}" x2="{_SVG_W - 200}" '
                      f'y2="{ly}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{_SVG_W - 192}" y="{ly + 5}" '
-                     f'font-size="15">{label}</text>')
+                     f'font-size="15">{escape(label)}</text>')
     parts.append("</svg>")
 
     with open(path, "w", encoding="utf-8") as fh:

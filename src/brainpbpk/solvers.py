@@ -156,13 +156,6 @@ def dopri45_solve(f, y0, t0: float, grid, rtol: float, atol: float) -> np.ndarra
 
 # --- PBPK-specific solves ---------------------------------------------------
 
-def _series_from(grid, states, plasma) -> ConcentrationSeries:
-    return ConcentrationSeries(
-        times=grid, Cbb=states[:, 0], Cbm=states[:, 1],
-        Cccsf=states[:, 2], Cscsf=states[:, 3],
-        plasma=linear_interp(plasma, np.asarray(grid, dtype=float)))
-
-
 def solve(sys: SystemParams, drug: DrugParams, plasma: PlasmaProfile,
           variant: ModelVariant, init: InitialState,
           cfg: SolveConfig) -> ConcentrationSeries:
@@ -185,7 +178,7 @@ def solve(sys: SystemParams, drug: DrugParams, plasma: PlasmaProfile,
         states = rk4_solve(f, init.Y0, init.t0, grid, cfg.h)
     else:
         states = dopri45_solve(f, init.Y0, init.t0, grid, cfg.rtol, cfg.atol)
-    return _series_from(grid, states, plasma)
+    return ConcentrationSeries(grid, states.T, linear_interp(plasma, grid))
 
 
 def _transition_ops(A: np.ndarray, f: np.ndarray, dts: np.ndarray):
@@ -294,8 +287,8 @@ def expm_propagate(A: np.ndarray, f: np.ndarray, y0, plasma: PlasmaProfile,
     if bad.any():
         raise NonFiniteState(
             f"non-finite state at t={breakpoints[np.argmax(bad)]:.6g}")
-    return _series_from(grid, states[:, np.searchsorted(breakpoints, grid)].T,
-                        plasma)
+    return ConcentrationSeries(grid, states[:, np.searchsorted(breakpoints, grid)],
+                               linear_interp(plasma, grid))
 
 
 # --- synthetic datasets -----------------------------------------------------
@@ -343,6 +336,4 @@ def synthesize_dataset(sys: SystemParams, drug: DrugParams,
     rng = np.random.default_rng(seed)
     conc = series.concentrations()
     noisy = np.maximum(conc + rng.normal(0.0, noise_sd, size=conc.shape), 0.0)
-    return ConcentrationSeries(times=grid, Cbb=noisy[0], Cbm=noisy[1],
-                               Cccsf=noisy[2], Cscsf=noisy[3],
-                               plasma=plasma.values)
+    return ConcentrationSeries(grid, noisy, plasma.values)

@@ -237,7 +237,7 @@ def test_criterion_7_property_bundle(tmp_path):
 
     def series(vals):
         z = np.zeros_like(t)
-        return ConcentrationSeries(times=t, Cbb=vals, Cbm=z, Cccsf=z, Cscsf=z)
+        return ConcentrationSeries(t, [vals, z, z, z])
 
     whole = auc_trapezoid(series(c), "Cbb")
     k = 50
@@ -276,7 +276,7 @@ def test_criterion_8_pk_metrics():
     t = np.linspace(0.0, 48.0, 500)
     c = np.exp(-0.1 * t)
     z = np.zeros_like(t)
-    s = ConcentrationSeries(times=t, Cbb=c, Cbm=z, Cccsf=z, Cscsf=z)
+    s = ConcentrationSeries(t, [c, z, z, z])
     hl = half_life(s, "Cbb")
     auc = auc_trapezoid(s, "Cbb")
     analytic_auc = (1.0 - np.exp(-0.1 * 48.0)) / 0.1

@@ -20,13 +20,21 @@ def artifact_bytes(out):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-def bad_manifest_copy(dataset_dir, tmp_path):
-    """The dataset next to a manifest.json that is not valid JSON."""
+def bad_manifest_copy(dataset_dir, tmp_path, text="{not json"):
+    """The dataset next to a manifest.json holding ``text``; by default
+    that is not valid JSON."""
     data = tmp_path / "data"
     data.mkdir()
     shutil.copy(dataset_dir / "dataset.csv", data / "dataset.csv")
-    (data / "manifest.json").write_text("{not json", encoding="utf-8")
+    (data / "manifest.json").write_text(text, encoding="utf-8")
     return data / "dataset.csv"
+
+
+BAD_MANIFEST_PARAMETERS = [
+    pytest.param('{"parameters": [1, 2]}', id="list"),
+    pytest.param('{"parameters": {"Vbb": "x"}}', id="string-value")]
+BAD_MANIFEST_MESSAGE = \
+    "^error: .*manifest.json: parameters must map names to numbers$"
 
 
 class TestSimulate:
@@ -91,6 +99,16 @@ class TestTrain:
                   "--neurons", "4", "--iters", "1", "--lbfgs-iters", "0",
                   "--out", str(tmp_path / "out")])
 
+    @pytest.mark.parametrize("text", BAD_MANIFEST_PARAMETERS)
+    def test_bad_manifest_parameters_are_an_error(self, dataset_dir, tmp_path,
+                                                  text):
+        data = bad_manifest_copy(dataset_dir, tmp_path, text)
+        with pytest.raises(SystemExit, match=BAD_MANIFEST_MESSAGE):
+            main(["train", "--data", str(data), "--layers", "1",
+                  "--neurons", "4", "--iters", "1", "--lbfgs-iters", "0",
+                  "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_free_name_rejected(self, dataset_dir, tmp_path):
         with pytest.raises(SystemExit):
             main(["train", "--data", str(dataset_dir / "dataset.csv"),
@@ -153,6 +171,15 @@ class TestFitDe:
         with pytest.raises(SystemExit, match="^error: .*manifest.json"):
             main(["fit-de", "--data", str(data), "--free", "Vbb",
                   "--generations", "1", "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("text", BAD_MANIFEST_PARAMETERS)
+    def test_bad_manifest_parameters_are_an_error(self, dataset_dir, tmp_path,
+                                                  text):
+        data = bad_manifest_copy(dataset_dir, tmp_path, text)
+        with pytest.raises(SystemExit, match=BAD_MANIFEST_MESSAGE):
+            main(["fit-de", "--data", str(data), "--free", "Vbb",
+                  "--generations", "1", "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag,value", [
         pytest.param("--population", "2", id="2"),
@@ -287,6 +314,39 @@ class TestCompare:
             main(["compare", "--results", str(tmp_path / "a" / "summary.json"),
                   str(tmp_path / "b" / "summary.json"),
                   "--out", str(tmp_path / "cmp")])
+
+    # the bad summary comes first: compare takes its parameter list from
+    # the first one
+    @pytest.mark.parametrize("change,message", [
+        pytest.param({"free": ["Vbb", "bogus"]},
+                     r"free must be a list of parameter names, not "
+                     r"\['Vbb', 'bogus'\]", id="unknown-name"),
+        pytest.param({"free": "Vbb"}, "free must be a list of parameter "
+                     "names, not 'Vbb'", id="free-string"),
+        pytest.param({"values": {"Vbb": "0.06"}},
+                     "values and abs_errors must map names to numbers",
+                     id="string-value"),
+        pytest.param({"abs_errors": {"Vbb": True}},
+                     "values and abs_errors must map names to numbers",
+                     id="bool-error"),
+        pytest.param({"label": 1}, "label and prediction must be strings",
+                     id="number-label")])
+    def test_bad_summary_contents_are_an_error(self, tmp_path, change,
+                                               message):
+        paths = []
+        for name, extra in (("bad", change), ("good", {})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({
+                "label": name, "free": ["Vbb"], "values": {"Vbb": 0.06},
+                "abs_errors": {"Vbb": 0.005}, "prediction": "none.csv",
+                **extra}))
+            paths.append(str(path))
+        with pytest.raises(SystemExit, match=f"^error: "
+                                             f"{re.escape(paths[0])}: "
+                                             f"{message}$"):
+            main(["compare", "--results", *paths,
+                  "--out", str(tmp_path / "cmp")])
+        assert not (tmp_path / "cmp").exists()
 
     def test_requires_two_results(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,5 +1,6 @@
 import pathlib
 import tempfile
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from brainpbpk.dataio import (ConcentrationSeries, EmptyPlot, MissingColumn,
                               NonMonotonicTime, NonNumericCell, PlasmaProfile,
                               RunArtifacts, emit_plot, linear_interp,
-                              read_loss_history, read_series, write_series)
+                              read_series, write_series)
 
 
 def make_series(n=5, with_plasma=True, seed=0):
@@ -18,9 +19,8 @@ def make_series(n=5, with_plasma=True, seed=0):
     while np.any(np.diff(times) <= 0):
         times = np.sort(rng.uniform(0, 48, size=n))
     cols = rng.uniform(0, 0.1, size=(5, n))
-    return ConcentrationSeries(times=times, Cbb=cols[0], Cbm=cols[1],
-                               Cccsf=cols[2], Cscsf=cols[3],
-                               plasma=cols[4] if with_plasma else None)
+    return ConcentrationSeries(times, cols[:4],
+                               cols[4] if with_plasma else None)
 
 
 class TestReadWrite:
@@ -50,7 +50,7 @@ class TestReadWrite:
         assert read_series(path).plasma is None
 
     def test_empty_series_writes_header_only(self, tmp_path):
-        s = ConcentrationSeries(times=[], Cbb=[], Cbm=[], Cccsf=[], Cscsf=[])
+        s = ConcentrationSeries([], np.empty((4, 0)))
         path = tmp_path / "d.csv"
         write_series(s, path)
         assert path.read_text().strip() == "Time,Cbb,Cbm,Cccsf,Cscsf"
@@ -78,11 +78,30 @@ class TestReadWrite:
             read_series(path)
         assert err.value.column == "Cbm" and err.value.row == 1
 
+    def test_roundtrip_longer_than_one_write_block(self, tmp_path):
+        s = make_series(10_000, seed=3)
+        path = tmp_path / "d.csv"
+        write_series(s, path)
+        assert len(path.read_bytes().split(b"\r\n")) == 10_002
+        back = read_series(path)
+        assert np.array_equal(back.times, s.times)
+        assert np.array_equal(back.concentrations(), s.concentrations())
+        assert np.array_equal(back.plasma, s.plasma)
+
+    def test_blank_rows_skipped_and_extra_columns_ignored(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("Note,Time,Cbb,Cbm,Cccsf,Cscsf\nx,0,1,2,3,4\n\n"
+                        " , \ny,1,5,6,7,8\n")
+        s = read_series(path)
+        assert np.array_equal(s.times, [0.0, 1.0]) and s.plasma is None
+        assert np.array_equal(s.concentrations(),
+                              [[1.0, 5.0], [2.0, 6.0], [3.0, 7.0], [4.0, 8.0]])
+
     def test_header_case_insensitive(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("time,cbb,CBM,Cccsf,cSCSF,cplasma\n0,1,2,3,4,5\n")
         s = read_series(path)
-        assert s.Cbm[0] == 2.0 and s.plasma[0] == 5.0
+        assert s.column("Cbm")[0] == 2.0 and s.plasma[0] == 5.0
 
     @given(st.integers(min_value=0, max_value=50), st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
@@ -91,14 +110,65 @@ class TestReadWrite:
         times = np.unique(rng.uniform(0, 100, size=n + 2))
         m = times.size
         cols = rng.uniform(0, 10, size=(4, m))
-        s = ConcentrationSeries(times=times, Cbb=cols[0], Cbm=cols[1],
-                                Cccsf=cols[2], Cscsf=cols[3])
+        s = ConcentrationSeries(times, cols)
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "d.csv"
             write_series(s, path)
             back = read_series(path)
         assert np.array_equal(back.times, s.times)
         assert np.array_equal(back.concentrations(), s.concentrations())
+
+
+class TestExactBytes:
+    """The numeric CSVs pinned byte for byte: a header row, CRLF line ends
+    and every cell at %.17g, ``Time`` and ``iter`` included."""
+
+    DATA = ("Time,Cbb,Cbm,Cccsf,Cscsf,Cplasma\n0,0,0.3,1e-20,0,0\n"
+            "0.1,0.2,0.3333333333333333,2.5,1e+300,0.06\n"
+            "2,1e-05,-0,3,7,0.1\n")
+
+    def rewrite(self, tmp_path, text):
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text(text)
+        write_series(read_series(src), out)
+        return out.read_bytes()
+
+    def test_series_with_plasma(self, tmp_path):
+        assert self.rewrite(tmp_path, self.DATA) == (
+            b"Time,Cbb,Cbm,Cccsf,Cscsf,Cplasma\r\n"
+            b"0,0,0.29999999999999999,9.9999999999999995e-21,0,0\r\n"
+            b"0.10000000000000001,0.20000000000000001,0.33333333333333331,"
+            b"2.5,1.0000000000000001e+300,0.059999999999999998\r\n"
+            b"2,1.0000000000000001e-05,-0,3,7,0.10000000000000001\r\n")
+
+    def test_series_without_plasma(self, tmp_path):
+        text = "".join(line.rsplit(",", 1)[0] + "\n"
+                       for line in self.DATA.splitlines()[:3])
+        assert self.rewrite(tmp_path, text) == (
+            b"Time,Cbb,Cbm,Cccsf,Cscsf\r\n"
+            b"0,0,0.29999999999999999,9.9999999999999995e-21,0\r\n"
+            b"0.10000000000000001,0.20000000000000001,0.33333333333333331,"
+            b"2.5,1.0000000000000001e+300\r\n")
+
+    def test_empty_series(self, tmp_path):
+        assert self.rewrite(tmp_path, "Time,Cbb,Cbm,Cccsf,Cscsf\n") == \
+            b"Time,Cbb,Cbm,Cccsf,Cscsf\r\n"
+
+    def test_loss_history_and_trajectory(self, tmp_path):
+        art = RunArtifacts(param_names=["Vbb", "fubb"])
+        art.log(0, 0.1, 2.0, 1e-07, 2.1000001, [0.064952435, 0.125])
+        art.log(50500, 1 / 3, 0.5, 0.0, 5 / 6, [0.07, 0.1])
+        art.write_loss_history(tmp_path / "loss.csv")
+        assert (tmp_path / "loss.csv").read_bytes() == (
+            b"iter,loss_data,loss_ode,loss_ic,loss_total\r\n"
+            b"0,0.10000000000000001,2,9.9999999999999995e-08,"
+            b"2.1000000999999999\r\n"
+            b"50500,0.33333333333333331,0.5,0,0.83333333333333337\r\n")
+        art.write_trajectory(tmp_path / "traj.csv")
+        assert (tmp_path / "traj.csv").read_bytes() == (
+            b"iter,Vbb,fubb\r\n"
+            b"0,0.064952435000000003,0.125\r\n"
+            b"50500,0.070000000000000007,0.10000000000000001\r\n")
 
 
 class TestLinearInterp:
@@ -148,13 +218,11 @@ class TestValidation:
 
     def test_series_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            ConcentrationSeries(times=[0, 1], Cbb=[0, np.nan], Cbm=[0, 0],
-                                Cccsf=[0, 0], Cscsf=[0, 0])
+            ConcentrationSeries([0, 1], [[0, np.nan], [0, 0], [0, 0], [0, 0]])
 
     def test_series_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            ConcentrationSeries(times=[0, 1], Cbb=[0], Cbm=[0, 0],
-                                Cccsf=[0, 0], Cscsf=[0, 0])
+            ConcentrationSeries([0, 1], np.zeros((4, 1)))
 
 
 class TestRunArtifacts:
@@ -164,9 +232,9 @@ class TestRunArtifacts:
         art.log(100, 0.5, 1.0, 1.5, 3.0, [0.06, 0.12])
         loss_path = tmp_path / "loss.csv"
         art.write_loss_history(loss_path)
-        back = read_loss_history(loss_path)
-        assert np.array_equal(back["iter"], [0, 100])
-        assert np.array_equal(back["loss_total"], [6.0, 3.0])
+        back = np.loadtxt(loss_path, delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, 0], [0, 100])
+        assert np.array_equal(back[:, 4], [6.0, 3.0])
         assert loss_path.read_text().splitlines()[0] == \
             "iter,loss_data,loss_ode,loss_ic,loss_total"
 
@@ -201,6 +269,13 @@ class TestEmitPlot:
         text = path.read_text()
         assert text.count("<polyline") == 2
         assert ">a</text>" in text and ">b</text>" in text
+
+    def test_label_is_escaped(self, tmp_path):
+        path = tmp_path / "p.svg"
+        emit_plot([("PINN & <DE>", make_series(20))], "Cbb", path)
+        texts = [t.text for t in ET.parse(path).getroot()
+                 if t.tag == "{http://www.w3.org/2000/svg}text"]
+        assert "PINN & <DE>" in texts
 
     def test_empty_list_raises(self, tmp_path):
         with pytest.raises(EmptyPlot):

@@ -13,8 +13,7 @@ def series_from(times, cbb, **kw):
     times = np.asarray(times, dtype=float)
     cbb = np.asarray(cbb, dtype=float)
     zero = np.zeros_like(times)
-    return ConcentrationSeries(times=times, Cbb=cbb, Cbm=kw.get("Cbm", zero),
-                               Cccsf=zero, Cscsf=zero)
+    return ConcentrationSeries(times, [cbb, kw.get("Cbm", zero), zero, zero])
 
 
 class TestAuc:

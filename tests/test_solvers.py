@@ -84,8 +84,8 @@ class TestExpmPropagate:
         series = expm_propagate(A, f * E1, np.zeros(4),
                                 constant_plasma(1.0, 4.0), grid)
         expected = (f / 3.0) * (1.0 - np.exp(-3.0 * grid))
-        assert np.max(np.abs(series.Cbb - expected)) < 1e-13
-        assert np.max(np.abs(series.Cbm)) == 0.0
+        assert np.max(np.abs(series.column("Cbb") - expected)) < 1e-13
+        assert np.max(np.abs(series.column("Cbm"))) == 0.0
 
     def test_ramp_forcing_analytic(self):
         # y' = -y + t  has solution  t - 1 + e^{-t} from y(0)=0
@@ -96,7 +96,7 @@ class TestExpmPropagate:
         grid = np.linspace(0.0, horizon, 7)
         series = expm_propagate(A, E1, np.zeros(4), plasma, grid)
         expected = grid - 1.0 + np.exp(-grid)
-        assert np.max(np.abs(series.Cbb - expected)) < 1e-13
+        assert np.max(np.abs(series.column("Cbb") - expected)) < 1e-13
 
     def test_no_forcing_matches_matrix_exponential(self):
         rng = np.random.default_rng(3)

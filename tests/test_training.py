@@ -242,7 +242,9 @@ class TestCompositeLoss:
     def test_zero_scales_replaced_by_one(self):
         # an all-zero compartment and a compartment without outflow
         ds = small_dataset(10)
-        ds = dataclasses.replace(ds, Cscsf=np.zeros_like(ds.Cscsf))
+        conc = ds.concentrations().copy()
+        conc[3] = 0.0
+        ds = dataclasses.replace(ds, conc=conc)
         spec = EstimationSpec(free=[BoundedParam("Vbb", 0.03, 0.1)],
                               base_sys=SystemParams(Qsout=0.0, Qssink=0.0))
         prob = build_problem(ds, spec, nn.NetworkConfig(hidden_layers=1,
