@@ -97,24 +97,32 @@ def _read_dataset(path, need_plasma: bool = False) -> ConcentrationSeries:
     return dataset
 
 
-def _reference_from_manifest(data_path: str) -> dict[str, float]:
+def _reference_from_manifest(data_path: str,
+                             free: list[str]) -> dict[str, float]:
     """The parameters of the ``manifest.json`` next to the dataset, or the
-    reference values if it has none."""
-    path, manifest = Path(data_path).with_name("manifest.json"), None
-    if path.exists():
-        try:
-            with open(path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            raise SystemExit(f"error: {path}: {err}") from None
-    if isinstance(manifest, dict) and "parameters" in manifest:
-        params = manifest["parameters"]
-        if not (isinstance(params, dict)
-                and all(type(v) in (int, float) for v in params.values())):
-            raise SystemExit(f"error: {path}: parameters must map names to "
-                             f"numbers")
-        return dict(params)
-    return {name: reference_value(name) for name in ALL_PARAM_NAMES}
+    reference values if it has none. A manifest that is not an object, whose
+    ``parameters`` do not map names to numbers or that lacks one of the
+    ``free`` names exits with an error."""
+    path = Path(data_path).with_name("manifest.json")
+    if not path.exists():
+        return {name: reference_value(name) for name in ALL_PARAM_NAMES}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        raise SystemExit(f"error: {path}: {err}") from None
+    if not isinstance(manifest, dict):
+        raise SystemExit(f"error: {path}: not a JSON object")
+    params = manifest.get("parameters", {})
+    if not (isinstance(params, dict)
+            and all(type(v) in (int, float) for v in params.values())):
+        raise SystemExit(f"error: {path}: parameters must map names to "
+                         f"numbers")
+    missing = [name for name in free if name not in params]
+    if missing:
+        raise SystemExit(f"error: {path}: parameters lack "
+                         f"{', '.join(missing)}")
+    return dict(params)
 
 
 # -- simulate ----------------------------------------------------------------
@@ -179,7 +187,7 @@ def cmd_train(args) -> int:
     if args.prediction_points < 2:
         raise SystemExit("error: --prediction-points must be >= 2")
     dataset = _read_dataset(args.data, need_plasma=True)
-    reference = _reference_from_manifest(args.data)
+    reference = _reference_from_manifest(args.data, spec.names)
     out = _outdir(args.out)
 
     try:
@@ -202,15 +210,12 @@ def cmd_train(args) -> int:
                  out / "prediction.csv")
 
     values = final_spec.constrained_values()
-    errors = [abs(reference[n] - values[n]) if n in reference else None
-              for n in final_spec.names]
+    errors = [abs(reference[n] - values[n]) for n in final_spec.names]
     _write_summary(out, "PINN", final_spec.names,
                    [values[n] for n in final_spec.names], errors,
                    artifacts.loss_total[-1], "prediction.csv")
     for name, value in values.items():
-        ref = reference.get(name)
-        extra = f" (reference {ref:.9g})" if ref is not None else ""
-        print(f"{name}: {value:.9g}{extra}")
+        print(f"{name}: {value:.9g} (reference {reference[name]:.9g})")
     if args.lbfgs_iters > 0:
         if artifacts.lbfgs_line_search_failed:
             stop = "a failed line search"
@@ -235,7 +240,7 @@ def cmd_fit_de(args) -> int:
     if dataset.times[0] < 0:
         raise SystemExit(f"error: {args.data}: times must start at or after "
                          "the dose at t=0")
-    reference = _reference_from_manifest(args.data)
+    reference = _reference_from_manifest(args.data, spec.names)
     out = _outdir(args.out)
     result = fit_de(dataset, spec, cfg, reference=reference)
     result.write_csv(out / "de_result.csv")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -291,7 +291,7 @@ def emit_plot(labeled_series, compartment: str, path) -> None:
         parts.append(f'<line x1="{_SVG_W - 230}" y1="{ly}" x2="{_SVG_W - 200}" '
                      f'y2="{ly}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{_SVG_W - 192}" y="{ly + 5}" '
-                     f'font-size="15">{escape(label)}</text>')
+                     f'font-size="15">{escape(label, quote=False)}</text>')
     parts.append("</svg>")
 
     with open(path, "w", encoding="utf-8") as fh:

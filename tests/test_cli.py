@@ -1,8 +1,14 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import brainpbpk
 
 from brainpbpk.cli import main
 from brainpbpk.dataio import read_series
@@ -35,6 +41,25 @@ BAD_MANIFEST_PARAMETERS = [
     pytest.param('{"parameters": {"Vbb": "x"}}', id="string-value")]
 BAD_MANIFEST_MESSAGE = \
     "^error: .*manifest.json: parameters must map names to numbers$"
+# a manifest that is not an object, or that lacks a free parameter (here
+# Vbb, free in every case below); the message ends with what is wrong
+BAD_MANIFEST_SHAPES = [
+    pytest.param("[1, 2]", "not a JSON object", id="list"),
+    pytest.param('{"parameters": {"Vbm": 1.0}}', "parameters lack Vbb",
+                 id="lacks-free")]
+
+
+def test_import_loads_neither_scipy_nor_urllib_request():
+    # numpy is the one runtime dependency; a fresh interpreter sees every
+    # module the package pulls in
+    code = ("import sys, brainpbpk, brainpbpk.cli, brainpbpk.metrics; "
+            "print(sorted(m for m in sys.modules if m == 'urllib.request' "
+            "or m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(brainpbpk.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestSimulate:
@@ -98,6 +123,17 @@ class TestTrain:
             main(["train", "--data", str(data), "--layers", "1",
                   "--neurons", "4", "--iters", "1", "--lbfgs-iters", "0",
                   "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("text,message", BAD_MANIFEST_SHAPES)
+    def test_manifest_without_free_parameters_is_an_error(
+            self, dataset_dir, tmp_path, text, message):
+        data = bad_manifest_copy(dataset_dir, tmp_path, text)
+        with pytest.raises(SystemExit,
+                           match=f"^error: .*manifest.json: {message}"):
+            main(["train", "--data", str(data), "--layers", "1",
+                  "--neurons", "4", "--iters", "1", "--lbfgs-iters", "0",
+                  "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", BAD_MANIFEST_PARAMETERS)
     def test_bad_manifest_parameters_are_an_error(self, dataset_dir, tmp_path,
@@ -171,6 +207,16 @@ class TestFitDe:
         with pytest.raises(SystemExit, match="^error: .*manifest.json"):
             main(["fit-de", "--data", str(data), "--free", "Vbb",
                   "--generations", "1", "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("text,message", BAD_MANIFEST_SHAPES)
+    def test_manifest_without_free_parameters_is_an_error(
+            self, dataset_dir, tmp_path, text, message):
+        data = bad_manifest_copy(dataset_dir, tmp_path, text)
+        with pytest.raises(SystemExit,
+                           match=f"^error: .*manifest.json: {message}$"):
+            main(["fit-de", "--data", str(data), "--free", "Vbb",
+                  "--generations", "1", "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", BAD_MANIFEST_PARAMETERS)
     def test_bad_manifest_parameters_are_an_error(self, dataset_dir, tmp_path,

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm as scipy_expm
 
 from brainpbpk import solvers
 from brainpbpk.dataio import PlasmaProfile
+from brainpbpk.defit import population_sse
 from brainpbpk.model import assemble_matrix
 from brainpbpk.params import DrugParams, ModelVariant, SystemParams
 from brainpbpk.solvers import (InitialState, Method, NonFiniteState,
@@ -14,6 +16,7 @@ from brainpbpk.solvers import (InitialState, Method, NonFiniteState,
                                dopri45_solve, expm_propagate,
                                propagate_states, rk4_solve, solve,
                                synthesize_dataset)
+from brainpbpk.training import default_estimation_spec
 
 SYS = SystemParams()
 DRUG = DrugParams()
@@ -104,8 +107,7 @@ class TestExpmPropagate:
         y0 = rng.uniform(0, 0.1, size=4)
         grid = np.array([0.0, 1.5])
         series = expm_propagate(A, FORCING, y0, constant_plasma(0.0), grid)
-        from scipy.linalg import expm
-        expected = expm(A * 1.5) @ y0
+        expected = scipy_expm(A * 1.5) @ y0
         assert np.max(np.abs(series.concentrations()[:, 1] - expected)) < 1e-14
 
     def test_initial_state_echoed_at_t0(self):
@@ -128,6 +130,93 @@ class TestExpmPropagate:
         with pytest.raises(ValueError, match="start at or after t0"):
             expm_propagate(assemble_matrix(SYS, DRUG), FORCING, np.zeros(4),
                            constant_plasma(0.05), grid)
+
+
+def assert_matches_scipy(stack):
+    """``solvers.expm`` of every matrix in the stack is scipy's to 1e-13 of
+    that matrix's largest entry."""
+    stack = np.asarray(stack).reshape((-1,) + np.shape(stack)[-2:])
+    ours = solvers.expm(stack)
+    for E, M in zip(ours, stack):
+        ref = scipy_expm(M)
+        assert np.max(np.abs(E - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def rate_like(rng, norm):
+    """An augmented 6x6 transition generator (see ``_transition_ops``) of a
+    random 4-compartment system: non-negative transfers, columns that lose
+    at least what they pass on, a forcing column and the ramp entry; scaled
+    to the given 1-norm."""
+    M = np.zeros((6, 6))
+    transfers = rng.uniform(0.0, 1.0, (4, 4))
+    np.fill_diagonal(transfers, 0.0)
+    M[:4, :4] = transfers - np.diag(transfers.sum(axis=0)
+                                    + rng.uniform(0.0, 1.0, 4))
+    M[:4, 4] = rng.uniform(0.0, 1.0, 4)
+    M[4, 5] = 1.0
+    return M * norm / np.abs(M).sum(axis=0).max()
+
+
+def spy_expm(monkeypatch):
+    """Record every stack ``solvers.expm`` is called with."""
+    stacks, expm = [], solvers.expm
+
+    def spy(M):
+        stacks.append(M)
+        return expm(M)
+
+    monkeypatch.setattr(solvers, "expm", spy)
+    return stacks
+
+
+class TestExpm:
+    """The in-house Pade-13 exponential against scipy's."""
+
+    def test_random_stacks_over_six_decades_of_norm(self):
+        rng = np.random.default_rng(11)
+        norms = np.logspace(-3.0, 3.0, 25)
+        assert_matches_scipy([rate_like(rng, n) for n in norms])
+        assert_matches_scipy(np.reshape(
+            [rate_like(rng, n) for n in np.repeat(norms, 2)], (5, 10, 6, 6)))
+
+    def test_default_grid_operator(self, monkeypatch):
+        stacks = spy_expm(monkeypatch)
+        grid = np.linspace(0.0, 48.0, 200)
+        propagate_states(assemble_matrix(SYS, DRUG), FORCING, np.zeros(4),
+                         PlasmaSpec().sample(grid), grid)
+        assert [M.shape for M in stacks] == [(1, 6, 6)]
+        assert_matches_scipy(stacks[0])
+
+    def test_de_population_operators(self, monkeypatch):
+        spec = default_estimation_spec()
+        lo, hi = zip(*[(p.lo, p.hi) for p in spec.free])
+        population = np.random.default_rng(5).uniform(lo, hi, (60, len(lo)))
+        dataset = synthesize_dataset(SYS, DRUG)
+        stacks = spy_expm(monkeypatch)
+        assert np.all(np.isfinite(population_sse(population, spec, dataset)))
+        assert [M.shape for M in stacks] == [(60, 1, 6, 6)]
+        assert_matches_scipy(stacks[0])
+
+    def test_each_matrix_is_scaled_alone(self):
+        rng = np.random.default_rng(2)
+        big, small = rate_like(rng, 1e3), rate_like(rng, 1e-2)
+        both = solvers.expm(np.stack([big, small]))
+        assert np.array_equal(both[0], solvers.expm(big))
+        assert np.array_equal(both[1], solvers.expm(small))
+
+    def test_zero_matrix_gives_identity_exactly(self):
+        assert np.array_equal(solvers.expm(np.zeros((6, 6))), np.eye(6))
+        assert np.array_equal(solvers.expm(np.zeros((3, 6, 6))),
+                              np.broadcast_to(np.eye(6), (3, 6, 6)))
+
+    def test_non_finite_input_is_quiet(self):
+        M = np.stack([rate_like(np.random.default_rng(4), 1.0),
+                      np.full((6, 6), np.nan), np.full((6, 6), np.inf),
+                      np.full((6, 6), 1e300)])
+        with np.errstate(all="raise"):
+            E = solvers.expm(M)
+        assert np.array_equal(E[0], solvers.expm(M[0]))
+        assert not np.isfinite(E[1:]).all(axis=(1, 2)).any()
 
 
 def knotted(plasma, t):
@@ -160,20 +249,14 @@ class TestPropagateStates:
         assert np.max(np.abs(scan - loop) / peak) <= 1e-13
 
     def test_uniform_grid_one_expm_slice_per_system(self, monkeypatch):
-        shapes, expm = [], solvers.expm
-
-        def spy(M):
-            shapes.append(M.shape)
-            return expm(M)
-
-        monkeypatch.setattr(solvers, "expm", spy)
+        stacks = spy_expm(monkeypatch)
         grid = np.linspace(0.0, 48.0, 200)
         plasma = PlasmaSpec().sample(grid)
         A = assemble_matrix(SYS, DRUG)
         propagate_states(A, FORCING, np.zeros(4), plasma, grid)
         propagate_states(np.stack([A] * 3), np.stack([FORCING] * 3),
                          np.zeros(4), plasma, grid)
-        assert shapes == [(1, 6, 6), (3, 1, 6, 6)]
+        assert [M.shape for M in stacks] == [(1, 6, 6), (3, 1, 6, 6)]
 
     def test_grid_before_t0_rejected(self):
         grid = np.linspace(0.0, 1.0, 3)
