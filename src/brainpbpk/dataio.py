@@ -8,14 +8,18 @@ Loss-history CSV  header ``iter,loss_data,loss_ode,loss_ic,loss_total``.
 Trajectory CSV    header ``iter,<param1>,<param2>,...``.
 SVG plots         standalone, 1000x700 viewBox, no external assets.
 
-All three CSVs are UTF-8 with CRLF line ends, as the csv module writes them,
-and every cell, ``Time`` and ``iter`` included, is ``%.17g``.
+``_write_table`` writes all three CSVs: UTF-8, CRLF line ends and every
+cell, ``Time`` and ``iter`` included, at ``%.17g``. ``read_series`` takes
+the data CSV's header through the csv module and its non-blank rows in one
+``np.loadtxt`` parse.
 """
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, field
 from html import escape
+from itertools import filterfalse
 
 import numpy as np
 
@@ -154,17 +158,38 @@ def _write_table(path, header, table) -> None:
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _parse(rows, usecols) -> np.ndarray:
+    """The ``usecols`` cells of CSV lines ``rows`` as one ``(rows,
+    len(usecols))`` float table, in one C-level parse."""
+    return np.loadtxt(rows, delimiter=",", usecols=usecols, ndmin=2,
+                      quotechar='"', comments=None)
+
+
+def _raise_bad_cell(rows, indices, names) -> None:
+    """Raise ``NonNumericCell`` for the first cell of ``rows`` that
+    ``_parse`` rejects, one row and then one cell at a time; rows count
+    from 1. Called only after ``_parse`` failed on the whole table."""
+    for row, line in enumerate(rows, 1):
+        try:
+            _parse([line], indices)
+        except ValueError:
+            for i, name in zip(indices, names):
+                try:
+                    _parse([line], [i])
+                except ValueError:
+                    raise NonNumericCell(name, row) from None
+
+
+_BLANK_ROW = re.compile(r'[\s,"]*')
+
+
 def read_series(path) -> ConcentrationSeries:
     """Parse the data CSV; header names are matched case-insensitively,
-    blank rows are skipped and extra columns ignored."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn("Time") from None
-        rows = [r for r in reader if r and any(cell.strip() for cell in r)]
-
+    rows of only whitespace, commas and quotes are skipped and extra
+    columns ignored."""
+    with open(path, encoding="utf-8-sig") as fh:
+        header = next(csv.reader([fh.readline()]))
+        rows = list(filterfalse(_BLANK_ROW.fullmatch, fh))
     lookup = {h.strip().lower(): i for i, h in enumerate(header)}
     has_plasma = "cplasma" in lookup
     names = _REQUIRED + ("Cplasma",) * has_plasma
@@ -172,15 +197,12 @@ def read_series(path) -> ConcentrationSeries:
         if name.lower() not in lookup:
             raise MissingColumn(name)
     indices = [lookup[name.lower()] for name in names]
-    cells = []
     try:
-        for row in rows:
-            for i in indices:
-                cells.append(float(row[i]))
-    except (ValueError, IndexError):
-        rownum, col = divmod(len(cells), len(names))
-        raise NonNumericCell(names[col], rownum + 1) from None
-    table = np.array(cells, dtype=float).reshape(-1, len(names)).T
+        # no rows: loadtxt would warn "input contained no data"
+        table = _parse(rows, indices).T if rows else np.empty((len(names), 0))
+    except ValueError:
+        _raise_bad_cell(rows, indices, names)
+        raise
 
     bad = np.nonzero(np.diff(table[0]) <= 0)[0]
     if bad.size:

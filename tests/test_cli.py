@@ -202,6 +202,21 @@ class TestFitDe:
                                    "summary.json"]
         assert runs[0] == runs[1]
 
+    def test_dataset_with_utf8_bom(self, dataset_dir, tmp_path):
+        # spreadsheet exports start with a BOM; the fit is the same as
+        # without it
+        bom = tmp_path / "bom"
+        shutil.copytree(dataset_dir, bom)
+        (bom / "dataset.csv").write_bytes(
+            b"\xef\xbb\xbf" + (dataset_dir / "dataset.csv").read_bytes())
+        runs = []
+        for data, out in ((dataset_dir, "plain"), (bom, "with-bom")):
+            assert main(["fit-de", "--data", str(data / "dataset.csv"),
+                         "--free", "Vbb", "--generations", "2",
+                         "--out", str(tmp_path / out)]) == 0
+            runs.append(artifact_bytes(tmp_path / out))
+        assert runs[0] == runs[1]
+
     def test_invalid_manifest_is_an_error(self, dataset_dir, tmp_path):
         data = bad_manifest_copy(dataset_dir, tmp_path)
         with pytest.raises(SystemExit, match="^error: .*manifest.json"):

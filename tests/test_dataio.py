@@ -1,5 +1,6 @@
 import pathlib
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -11,6 +12,9 @@ from brainpbpk.dataio import (ConcentrationSeries, EmptyPlot, MissingColumn,
                               NonMonotonicTime, NonNumericCell, PlasmaProfile,
                               RunArtifacts, emit_plot, linear_interp,
                               read_series, write_series)
+from brainpbpk.model import COMPARTMENTS
+from brainpbpk.params import DrugParams, SystemParams
+from brainpbpk.solvers import synthesize_dataset
 
 
 def make_series(n=5, with_plasma=True, seed=0):
@@ -102,6 +106,109 @@ class TestReadWrite:
         path.write_text("time,cbb,CBM,Cccsf,cSCSF,cplasma\n0,1,2,3,4,5\n")
         s = read_series(path)
         assert s.column("Cbm")[0] == 2.0 and s.plasma[0] == 5.0
+
+    def test_quoted_and_padded_cells(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('Time,Cbb,Cbm,Cccsf,Cscsf\n"0", 1 ,"2",3 , 4\n'
+                        '1,"5",  6,"7" ,8\n')
+        s = read_series(path)
+        assert np.array_equal(s.times, [0.0, 1.0])
+        assert np.array_equal(s.concentrations(),
+                              [[1.0, 5.0], [2.0, 6.0], [3.0, 7.0], [4.0, 8.0]])
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("final", [True, False],
+                             ids=["final-newline", "no-final-newline"])
+    def test_line_ends(self, tmp_path, end, final):
+        path = tmp_path / "d.csv"
+        lines = ["Time,Cbb,Cbm,Cccsf,Cscsf", "0,1,2,3,4", "1,5,6,7,8"]
+        path.write_bytes((end.join(lines) + end * final).encode())
+        s = read_series(path)
+        assert np.array_equal(s.times, [0.0, 1.0])
+        assert np.array_equal(s.column("Cscsf"), [4.0, 8.0])
+
+    def test_comma_and_quote_only_rows_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('Time,Cbb,Cbm,Cccsf,Cscsf\n,,,,\n0,1,2,3,4\n , \n'
+                        '"",""\n\t\n1,5,6,7,8\n,\n')
+        s = read_series(path)
+        assert np.array_equal(s.times, [0.0, 1.0])
+        assert np.array_equal(s.column("Cbb"), [1.0, 5.0])
+
+    def test_short_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("Time,Cbb,Cbm,Cccsf,Cscsf\n0,1,2,3,4\n1,5,6\n")
+        with pytest.raises(NonNumericCell) as err:
+            read_series(path)
+        assert err.value.column == "Cccsf" and err.value.row == 2
+
+    def test_bad_cell_row_counts_data_rows_only(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("Time,Cbb,Cbm,Cccsf,Cscsf\n\n0,1,2,3,4\n , \n\n"
+                        "1,5,6,7,x\n")
+        with pytest.raises(NonNumericCell) as err:
+            read_series(path)
+        assert err.value.column == "Cscsf" and err.value.row == 2
+
+    @pytest.mark.parametrize("line,column", [("# note", "Time"),
+                                             ("1,5,6,7,8 # note", "Cscsf")],
+                             ids=["whole-row", "end-of-row"])
+    def test_hash_starts_no_comment(self, tmp_path, line, column):
+        path = tmp_path / "d.csv"
+        path.write_text(f"Time,Cbb,Cbm,Cccsf,Cscsf\n0,1,2,3,4\n{line}\n")
+        with pytest.raises(NonNumericCell) as err:
+            read_series(path)
+        assert err.value.column == column and err.value.row == 2
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("")
+        with pytest.raises(MissingColumn) as err:
+            read_series(path)
+        assert err.value.column == "Time"
+
+    def test_header_only_gives_no_rows_and_no_warning(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("Time,Cbb,Cbm,Cccsf,Cscsf,Cplasma\n\n,,\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = read_series(path)
+        assert len(s) == 0 and s.concentrations().shape == (4, 0)
+        assert s.plasma is not None and s.plasma.shape == (0,)
+
+    def test_nan_cell_names_its_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("Time,Cbb,Cbm,Cccsf,Cscsf\n0,1,2,3,4\n1,5,nan,7,8\n")
+        with pytest.raises(ValueError, match="^column Cbm contains non-finite"):
+            read_series(path)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661"],
+                             ids=["underscore", "non-ascii-digit"])
+    def test_cell_only_python_float_accepts(self, tmp_path, cell):
+        # float() reads both cells; the reader's parser rejects them
+        path = tmp_path / "d.csv"
+        path.write_text(f"Time,Cbb,Cbm,Cccsf,Cscsf\n0,1,2,3,4\n1,5,6,{cell},8\n",
+                        encoding="utf-8")
+        with pytest.raises(NonNumericCell) as err:
+            read_series(path)
+        assert err.value.column == "Cccsf" and err.value.row == 2
+
+    def test_utf8_bom(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("Time,Cbb,Cbm,Cccsf,Cscsf\n0,1,2,3,4\n",
+                        encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfTime,")
+        assert np.array_equal(read_series(path).column("Cscsf"), [4.0])
+
+    def test_roundtrip_exact_20000_noisy_rows(self, tmp_path):
+        s = synthesize_dataset(SystemParams(), DrugParams(), n_points=20_000,
+                               noise_sd=1e-4, seed=5)
+        path = tmp_path / "d.csv"
+        write_series(s, path)
+        back = read_series(path)
+        for name in ("Time",) + COMPARTMENTS + ("Cplasma",):
+            assert np.array_equal(back.column(name), s.column(name)), name
+        assert back.conc.flags.c_contiguous
 
     @given(st.integers(min_value=0, max_value=50), st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
