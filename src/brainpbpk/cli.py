@@ -29,7 +29,7 @@ from . import network as nn
 from .dataio import (ConcentrationSeries, DataIOError, emit_plot,
                      linear_interp, read_series, write_series)
 from .defit import DEConfig, fit_de
-from .metrics import write_summaries
+from .metrics import summarize, write_summaries
 from .model import COMPARTMENTS
 from .params import (ALL_PARAM_NAMES, DrugParams, ModelVariant, SystemParams,
                      reference_value, substitute)
@@ -97,12 +97,20 @@ def _read_dataset(path, need_plasma: bool = False) -> ConcentrationSeries:
     return dataset
 
 
+def _maps_to_numbers(obj) -> bool:
+    """Whether ``obj`` maps names to numbers that are finite as floats (not
+    NaN, Infinity or an integer too large for a float)."""
+    return isinstance(obj, dict) and all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max
+        for v in obj.values())
+
+
 def _reference_from_manifest(data_path: str,
                              free: list[str]) -> dict[str, float]:
     """The parameters of the ``manifest.json`` next to the dataset, or the
     reference values if it has none. A manifest that is not an object, whose
-    ``parameters`` do not map names to numbers or that lacks one of the
-    ``free`` names exits with an error."""
+    ``parameters`` do not map names to finite numbers or that lacks one of
+    the ``free`` names exits with an error."""
     path = Path(data_path).with_name("manifest.json")
     if not path.exists():
         return {name: reference_value(name) for name in ALL_PARAM_NAMES}
@@ -114,8 +122,7 @@ def _reference_from_manifest(data_path: str,
     if not isinstance(manifest, dict):
         raise SystemExit(f"error: {path}: not a JSON object")
     params = manifest.get("parameters", {})
-    if not (isinstance(params, dict)
-            and all(type(v) in (int, float) for v in params.values())):
+    if not _maps_to_numbers(params):
         raise SystemExit(f"error: {path}: parameters must map names to "
                          f"numbers")
     missing = [name for name in free if name not in params]
@@ -128,17 +135,11 @@ def _reference_from_manifest(data_path: str,
 # -- simulate ----------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    if args.points < 2:
-        raise SystemExit("error: --points must be >= 2")
-    if args.horizon <= 0:
-        raise SystemExit("error: --horizon must be positive")
-    if args.noise_sd < 0:
-        raise SystemExit("error: --noise-sd must be non-negative")
+    series = _config(synthesize_dataset, sys=SystemParams(),
+                     drug=DrugParams(), n_points=args.points,
+                     horizon=args.horizon, noise_sd=args.noise_sd,
+                     seed=args.seed)
     out = _outdir(args.out)
-
-    sys_p, drug_p = SystemParams(), DrugParams()
-    series = synthesize_dataset(sys_p, drug_p, PlasmaSpec(), args.points,
-                                args.horizon, args.noise_sd, args.seed)
     write_series(series, out / "dataset.csv")
     manifest = {
         "parameters": {name: reference_value(name) for name in ALL_PARAM_NAMES},
@@ -180,9 +181,8 @@ def cmd_train(args) -> int:
     train_cfg = _config(
         TrainConfig, lr=args.lr, iterations=args.iters,
         lbfgs_iters=args.lbfgs_iters,
-        weights=_config(LossWeights, ic=np.full(4, args.weights_ic),
-                        ode=np.full(4, args.weights_ode),
-                        data=np.full(4, args.weights_data)),
+        weights=_config(LossWeights, ic=args.weights_ic, ode=args.weights_ode,
+                        data=args.weights_data),
         log_stride=args.log_stride, seed=args.seed)
     if args.prediction_points < 2:
         raise SystemExit("error: --prediction-points must be >= 2")
@@ -337,11 +337,12 @@ def cmd_sweep(args) -> int:
 # -- metrics -----------------------------------------------------------------
 
 def cmd_metrics(args) -> int:
-    if not 0.0 < args.tail_fraction <= 1.0:
-        raise SystemExit("error: --tail-fraction must be in (0, 1]")
     dataset = _read_dataset(args.data)
+    summaries = [_config(summarize, series=dataset, compartment=comp,
+                         tail_fraction=args.tail_fraction)
+                 for comp in COMPARTMENTS]
     out = _outdir(args.out)
-    write_summaries(dataset, out / "pk_summary.csv", args.tail_fraction)
+    write_summaries(summaries, out / "pk_summary.csv")
     print(f"wrote {out / 'pk_summary.csv'}")
     return 0
 
@@ -362,9 +363,7 @@ def _read_summary(path: str) -> dict:
                if k not in summary]
     if missing:
         raise SystemExit(f"error: {path}: summary lacks {', '.join(missing)}")
-    if not all(isinstance(summary[k], dict)
-               and all(type(v) in (int, float) for v in summary[k].values())
-               for k in ("values", "abs_errors")):
+    if not all(_maps_to_numbers(summary[k]) for k in ("values", "abs_errors")):
         raise SystemExit(f"error: {path}: values and abs_errors must map "
                          f"names to numbers")
     free = summary["free"]

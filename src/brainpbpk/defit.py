@@ -26,27 +26,27 @@ from .solvers import propagate_states
 from .training import EstimationSpec
 
 
+# mutation factor F, crossover rate CR, and the least fall of the best
+# objective that counts as progress for the stagnation stop
+MUTATION, CROSSOVER, STAGNATION_TOL = 0.8, 0.9, 1e-12
+
+
 @dataclass(frozen=True)
 class DEConfig:
     population: int = 0        # 0 -> 10 x dimension
-    mutation: float = 0.8
-    crossover: float = 0.9
     generations: int = 500
-    stagnation_tol: float = 1e-12
     stagnation_window: int = 50
     seed: int = 0
 
     def __post_init__(self):
         if self.population and self.population < 4:
             raise ValueError("population must be >= 4")
-        if not 0.0 < self.mutation <= 2.0:
-            raise ValueError("mutation factor must be in (0, 2]")
-        if not 0.0 <= self.crossover <= 1.0:
-            raise ValueError("crossover rate must be in [0, 1]")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
         if self.stagnation_window < 1:
             raise ValueError("stagnation window must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -152,8 +152,8 @@ def differential_evolution(objective, bounds, cfg: DEConfig = DEConfig()):
         for i in range(npop):
             choices = [j for j in (rng.permutation(npop)) if j != i][:3]
             a, b, c = pop[choices[0]], pop[choices[1]], pop[choices[2]]
-            mutant = _reflect(a + cfg.mutation * (b - c), lo, hi)
-            cross = rng.uniform(size=dim) < cfg.crossover
+            mutant = _reflect(a + MUTATION * (b - c), lo, hi)
+            cross = rng.uniform(size=dim) < CROSSOVER
             cross[rng.integers(dim)] = True
             trials[i] = np.where(cross, mutant, pop[i])
         trial_fitness = _score(objective, trials)
@@ -164,7 +164,7 @@ def differential_evolution(objective, bounds, cfg: DEConfig = DEConfig()):
         if fitness[gen_best] < best_f:
             best_f = float(fitness[gen_best])
             best_x = pop[gen_best].copy()
-        stagnant = stagnant + 1 if prev_best - best_f <= cfg.stagnation_tol else 0
+        stagnant = stagnant + 1 if prev_best - best_f <= STAGNATION_TOL else 0
         if stagnant >= cfg.stagnation_window:
             break
     return best_x, best_f, gen

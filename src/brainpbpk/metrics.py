@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import ConcentrationSeries
-from .model import COMPARTMENTS
 
 
 class TooFewPoints(Exception):
@@ -69,14 +68,12 @@ def summarize(series: ConcentrationSeries, compartment: str,
                      half_life=half_life(series, compartment, tail_fraction))
 
 
-def write_summaries(series: ConcentrationSeries, path,
-                    tail_fraction: float = 0.25) -> None:
-    """One CSV row per compartment."""
+def write_summaries(summaries, path) -> None:
+    """One CSV row per summary."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["compartment", "auc", "cmax", "tmax", "half_life"])
-        for comp in COMPARTMENTS:
-            s = summarize(series, comp, tail_fraction)
-            writer.writerow([comp, f"{s.auc:.17g}", f"{s.cmax:.17g}",
+        for s in summaries:
+            writer.writerow([s.compartment, f"{s.auc:.17g}", f"{s.cmax:.17g}",
                              f"{s.tmax:.17g}",
                              "" if s.half_life is None else f"{s.half_life:.17g}"])

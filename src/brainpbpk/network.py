@@ -23,9 +23,9 @@ the network that training returns (and that ``network.npz`` holds) maps
 normalized time to concentrations in mg/L.
 
 Checkpoint format (.npz): key ``config`` holds the JSON-encoded
-NetworkConfig (older ones also hold the fixed sizes ``input_dim`` = 1 and
-``output_dim`` = 4, which ``load_network`` ignores); keys ``W0..Wk`` /
-``b0..bk`` hold the layer arrays.
+NetworkConfig (older ones also hold ``input_dim`` = 1, ``output_dim`` = 4
+and the sin frequency ``omega`` = 1, which ``load_network`` checks and
+drops); keys ``W0..Wk`` / ``b0..bk`` hold the layer arrays.
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ class NetworkConfig:
     neurons: int = 50
     activation: str = "tanh"
     initializer: str = "glorot-normal"
-    omega: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -56,8 +55,8 @@ class NetworkConfig:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.initializer not in INITIALIZERS:
             raise ValueError(f"initializer must be one of {INITIALIZERS}")
-        if self.omega <= 0:
-            raise ValueError("sin frequency must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -93,9 +92,9 @@ def init_network(cfg: NetworkConfig) -> Network:
 
 # -- the activation table ----------------------------------------------------
 
-def activation(name: str, omega: float, z: np.ndarray):
+def activation(name: str, z: np.ndarray):
     """(f(z), f', f'') of the hidden-layer activation ``name``,
-    elementwise; sin means sin(omega z). The one place each activation's
+    elementwise. The one place each activation's
     calculus is written: the numpy passes and the tape read it. f' comes
     as a function of no arguments and f'' as a function of f', so each is
     computed only by a pass that needs it."""
@@ -109,9 +108,8 @@ def activation(name: str, omega: float, z: np.ndarray):
         # subgradient 0 at exactly z = 0; f'' is 0 and broadcasts
         mask = z > 0
         return np.where(mask, z, 0.0), lambda: mask.astype(float), lambda d1: 0.0
-    wz = omega * z
-    a = np.sin(wz)
-    return a, lambda: omega * np.cos(wz), lambda d1: -(omega * omega) * a
+    a = np.sin(z)
+    return a, lambda: np.cos(z), lambda d1: -a
 
 
 # -- numpy evaluation --------------------------------------------------------
@@ -126,7 +124,7 @@ def forward(net: Network, t_hat) -> np.ndarray:
     cfg = net.config
     x = _as_input(t_hat)
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        x = activation(cfg.activation, cfg.omega, W @ x + b)[0]
+        x = activation(cfg.activation, W @ x + b)[0]
     return net.weights[-1] @ x + net.biases[-1]
 
 
@@ -136,18 +134,18 @@ def forward_with_time_derivative(net: Network, t_hat):
     x = _as_input(t_hat)
     xdot = np.ones_like(x)
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        x, d1, _ = activation(cfg.activation, cfg.omega, W @ x + b)
+        x, d1, _ = activation(cfg.activation, W @ x + b)
         xdot = d1() * (W @ xdot)
     return net.weights[-1] @ x + net.biases[-1], net.weights[-1] @ xdot
 
 
 # -- tape evaluation ---------------------------------------------------------
 
-def _act_tape_dual(name: str, omega: float, z: Var, zdot: Var):
+def _act_tape_dual(name: str, z: Var, zdot: Var):
     """A layer's activation as two tape nodes with analytic adjoints: the
     value a = f(z), and the tangent f'(z) zdot, whose adjoints to z and
     zdot are g f''(z) zdot and g f'(z)."""
-    a, f1, f2 = activation(name, omega, z.value)
+    a, f1, f2 = activation(name, z.value)
     d1, zd = f1(), zdot.value
     value = Var(a, (z,), lambda g: (g * d1,), op=name)
     tangent = Var(d1 * zd, (z, zdot), lambda g: (g * f2(d1) * zd, g * d1),
@@ -162,7 +160,7 @@ def forward_dual_tape(cfg: NetworkConfig, weights: list[Var],
     x = Var(_as_input(t_hat), op="input")
     xdot = Var(np.ones_like(x.value), op="input-tangent")
     for W, b in zip(weights[:-1], biases[:-1]):
-        x, xdot = _act_tape_dual(cfg.activation, cfg.omega, W @ x + b, W @ xdot)
+        x, xdot = _act_tape_dual(cfg.activation, W @ x + b, W @ xdot)
     return weights[-1] @ x + biases[-1], weights[-1] @ xdot
 
 
@@ -189,6 +187,9 @@ def save_network(net: Network, path) -> None:
 def load_network(path) -> Network:
     with np.load(path, allow_pickle=False) as data:
         fields = json.loads(str(data["config"]))
+        omega = fields.pop("omega", 1.0)
+        if omega != 1.0:
+            raise ValueError(f"{path}: sin frequency omega {omega!r} is not 1")
         cfg = NetworkConfig(**{k: v for k, v in fields.items()
                                if k not in ("input_dim", "output_dim")})
         n_layers = cfg.hidden_layers + 1

@@ -362,10 +362,12 @@ def synthesize_dataset(sys: SystemParams, drug: DrugParams,
     optional zero-truncated Gaussian noise; plasma column embedded."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be non-negative")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be finite and positive")
+    if not 0 <= noise_sd < math.inf:
+        raise ValueError("noise_sd must be finite and non-negative")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
 
     grid = np.linspace(0.0, horizon, n_points)
     plasma = plasma_spec.sample(grid)

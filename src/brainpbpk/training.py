@@ -18,11 +18,11 @@ The loss is nondimensionalized with scales fixed once per problem by
   matrix M below) with every free parameter at its bound midpoint.
 
 The trained network sees time t in hours and emits u_k = C_k / peak_k.
-With per-compartment weights w, the three loss components are
+With one weight w per component, the three loss components are
 
-    data = sum_k w_data_k * mean_i (u_k(t_i) - C_k,obs(t_i) / peak_k)^2
-    ic   = sum_k w_ic_k   * (u_k(0) - C_k,obs(0) / peak_k)^2
-    ode  = sum_k w_ode_k  * mean_j (r_k(t_j) / ode_scale_k)^2,
+    data = w_data * sum_k mean_i (u_k(t_i) - C_k,obs(t_i) / peak_k)^2
+    ic   = w_ic   * sum_k (u_k(0) - C_k,obs(0) / peak_k)^2
+    ode  = w_ode  * sum_k mean_j (r_k(t_j) / ode_scale_k)^2,
            r_k = V_k * dC_k/dt - net influx_k(C, Cart)   (amount form, mg/h)
 
 at the data times t_i, which are also the collocation times t_j. The
@@ -75,8 +75,8 @@ class BoundedParam:
     raw: float = 0.0
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"{self.name}: lower bound must be below upper")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError(f"{self.name}: bounds must be finite, lo < hi")
 
 
 def _sigmoid_bound(free, raw):
@@ -140,18 +140,15 @@ def default_estimation_spec(free_names=DEFAULT_FREE,
 
 @dataclass(frozen=True)
 class LossWeights:
-    ic: np.ndarray = field(default_factory=lambda: np.ones(4))
-    ode: np.ndarray = field(default_factory=lambda: np.full(4, 2.0))
-    data: np.ndarray = field(default_factory=lambda: np.full(4, 3.0))
+    ic: float = 1.0
+    ode: float = 2.0
+    data: float = 3.0
 
     def __post_init__(self):
         for name in ("ic", "ode", "data"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, v)
-            if v.shape != (4,) or not np.all(np.isfinite(v) & (v >= 0)):
-                raise ValueError(f"{name} weights must be 4 finite "
-                                 f"non-negative values")
-        if not (np.any(self.ic > 0) or np.any(self.ode > 0) or np.any(self.data > 0)):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} weight must be finite and >= 0")
+        if not (self.ic > 0 or self.ode > 0 or self.data > 0):
             raise ValueError("at least one loss weight must be positive")
 
 
@@ -179,9 +176,9 @@ class TrainConfig:
 class _Problem:
     """Precomputed constants shared by every loss evaluation. ``times``
     (hours) are both the data and the collocation times; observations are
-    divided by ``peak``. ``w_data``, ``w_ic`` and ``w_ode`` are the (4, 1)
-    weight columns of the three terms: w_data / N, w_ic and
-    w_ode / (N * ode_scale^2)."""
+    divided by ``peak``. ``w_data`` = w_data / N and ``w_ic`` = w_ic are
+    the weights of the data and IC terms, and ``w_ode`` is the (4, 1)
+    column w_ode / (N * ode_scale^2)."""
 
     cfg: nn.NetworkConfig
     spec: EstimationSpec
@@ -192,8 +189,8 @@ class _Problem:
     cart: np.ndarray
     peak: np.ndarray
     ode_scale: np.ndarray
-    w_data: np.ndarray
-    w_ic: np.ndarray
+    w_data: float
+    w_ic: float
     w_ode: np.ndarray
 
 
@@ -233,9 +230,9 @@ def _composite_loss(prob: _Problem, weight_vars, bias_vars, raw_vars):
     """Build the full loss graph in scaled coordinates (see the module
     docstring); returns (total Var, component floats). One dual forward
     pass gives the network values for the data and IC terms and the time
-    derivatives for the ODE residual, which is skipped when every ODE
-    weight is zero. Each term is one weighted sum over a (4, N) array, the
-    weights and the 1/N of the means folded into (4, 1) vectors."""
+    derivatives for the ODE residual, which is skipped when the ODE weight
+    is zero. Each term is one weighted sum over a (4, N) array, with the
+    1/N of the means (and the ODE scales) folded into the weights."""
     U, Udot = nn.forward_dual_tape(prob.cfg, weight_vars, bias_vars, prob.times)
     l_data = (prob.w_data * (U - prob.obs_u) ** 2).sum()
     l_ic = (prob.w_ic * (U[:, :1] - prob.y0_u) ** 2).sum()
@@ -279,7 +276,7 @@ def build_problem(dataset: ConcentrationSeries, spec: EstimationSpec,
         cfg=net_cfg, spec=spec, horizon=float(times[-1]), times=times,
         obs_u=obs / peak[:, None], y0_u=(obs[:, 0] / peak)[:, None],
         cart=linear_interp(plasma, times), peak=peak, ode_scale=ode_scale,
-        w_data=(w.data / n)[:, None], w_ic=w.ic[:, None],
+        w_data=w.data / n, w_ic=w.ic,
         w_ode=(w.ode / (n * ode_scale ** 2))[:, None])
 
 

@@ -38,7 +38,10 @@ def bad_manifest_copy(dataset_dir, tmp_path, text="{not json"):
 
 BAD_MANIFEST_PARAMETERS = [
     pytest.param('{"parameters": [1, 2]}', id="list"),
-    pytest.param('{"parameters": {"Vbb": "x"}}', id="string-value")]
+    pytest.param('{"parameters": {"Vbb": "x"}}', id="string-value"),
+    pytest.param('{"parameters": {"Vbb": NaN}}', id="nan"),
+    pytest.param('{"parameters": {"Vbb": -Infinity}}', id="infinity"),
+    pytest.param('{"parameters": {"Vbb": 1%s}}' % ("0" * 400), id="huge-int")]
 BAD_MANIFEST_MESSAGE = \
     "^error: .*manifest.json: parameters must map names to numbers$"
 # a manifest that is not an object, or that lacks a free parameter (here
@@ -62,6 +65,38 @@ def test_import_loads_neither_scipy_nor_urllib_request():
     assert out.strip() == "[]"
 
 
+# the smallest run of each command; all but simulate also need --data
+COMMANDS = {
+    "simulate": ["simulate", "--points", "10", "--noise-sd", "1e-4"],
+    "train": ["train", "--layers", "1", "--neurons", "2", "--iters", "1",
+              "--lbfgs-iters", "0"],
+    "fit-de": ["fit-de", "--free", "Vbb", "--generations", "1"],
+    "sweep": ["sweep", "--activations", "tanh", "--layers", "1",
+              "--neurons", "2", "--iters", "1"],
+    "metrics": ["metrics"],
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "fit-de", "sweep"])
+def test_negative_seed_is_an_error(dataset_dir, tmp_path, command):
+    data = [] if command == "simulate" else \
+        ["--data", str(dataset_dir / "dataset.csv")]
+    with pytest.raises(SystemExit, match="^error: seed must be non-negative$"):
+        main([*COMMANDS[command], *data, "--seed", "-1",
+              "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "fit-de"])
+def test_infinite_box_is_an_error(dataset_dir, tmp_path, command):
+    with pytest.raises(SystemExit, match=r"^error: --bounds-scale 0\.5,inf: "
+                                         "Vbb: bounds must be finite"):
+        main([*COMMANDS[command], "--data", str(dataset_dir / "dataset.csv"),
+              "--free", "Vbb", "--bounds-scale", "0.5,inf",
+              "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 class TestSimulate:
     def test_outputs(self, dataset_dir):
         ds = read_series(dataset_dir / "dataset.csv")
@@ -81,6 +116,15 @@ class TestSimulate:
             main(["simulate", "--points", "1", "--out", str(tmp_path)])
         with pytest.raises(SystemExit):
             main(["simulate", "--noise-sd", "-1", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("flag", ["--horizon", "--noise-sd"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_flag_is_an_error(self, tmp_path, flag, value):
+        name = flag[2:].replace("-", "_")
+        with pytest.raises(SystemExit, match=f"^error: {name} must be finite"):
+            main(["simulate", "--points", "10", flag, value,
+                  "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrain:
@@ -390,6 +434,12 @@ class TestCompare:
         pytest.param({"abs_errors": {"Vbb": True}},
                      "values and abs_errors must map names to numbers",
                      id="bool-error"),
+        pytest.param({"values": {"Vbb": float("nan")}},
+                     "values and abs_errors must map names to numbers",
+                     id="nan-value"),
+        pytest.param({"abs_errors": {"Vbb": float("inf")}},
+                     "values and abs_errors must map names to numbers",
+                     id="infinity-error"),
         pytest.param({"label": 1}, "label and prediction must be strings",
                      id="number-label")])
     def test_bad_summary_contents_are_an_error(self, tmp_path, change,
@@ -438,14 +488,6 @@ class TestBadDataset:
     """Every command that reads a dataset turns a defect in it into an
     ``error:`` exit before it makes the output directory."""
 
-    COMMANDS = {
-        "train": ["train", "--layers", "1", "--neurons", "2", "--iters", "1",
-                  "--lbfgs-iters", "0"],
-        "fit-de": ["fit-de", "--free", "Vbb", "--generations", "1"],
-        "sweep": ["sweep", "--activations", "tanh", "--layers", "1",
-                  "--neurons", "2", "--iters", "1"],
-        "metrics": ["metrics"],
-    }
     MESSAGES = {
         "nan": "column Cbb contains non-finite values",
         "inf": "column Cbm contains non-finite values",
@@ -461,7 +503,7 @@ class TestBadDataset:
         data = bad_dataset(dataset_dir, tmp_path, kind)
         with pytest.raises(SystemExit, match=f"^error: {re.escape(data)}: "
                                              f"{self.MESSAGES[kind]}"):
-            main([*self.COMMANDS[command], "--data", data,
+            main([*COMMANDS[command], "--data", data,
                   "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 

@@ -7,6 +7,7 @@ from brainpbpk.dataio import ConcentrationSeries
 from brainpbpk.metrics import (PkSummary, TooFewPoints, auc_trapezoid,
                                cmax_tmax, half_life, summarize,
                                write_summaries)
+from brainpbpk.model import COMPARTMENTS
 
 
 def series_from(times, cbb, **kw):
@@ -107,7 +108,7 @@ class TestSummaries:
         t = np.linspace(0, 48, 100)
         s = series_from(t, np.exp(-0.1 * t))
         path = tmp_path / "pk.csv"
-        write_summaries(s, path)
+        write_summaries([summarize(s, c) for c in COMPARTMENTS], path)
         lines = path.read_text().splitlines()
         assert lines[0] == "compartment,auc,cmax,tmax,half_life"
         assert len(lines) == 5

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -59,8 +60,8 @@ class TestInit:
             NetworkConfig(activation="cosine")
         with pytest.raises(ValueError):
             NetworkConfig(initializer="he")
-        with pytest.raises(ValueError):
-            NetworkConfig(omega=0.0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            NetworkConfig(seed=-1)
 
 
 class TestForward:
@@ -95,7 +96,7 @@ class TestTimeDerivative:
     @pytest.mark.parametrize("act", ["tanh", "sigmoid", "sin"])
     def test_matches_finite_differences(self, act):
         net = init_network(NetworkConfig(hidden_layers=3, neurons=10,
-                                         activation=act, omega=2.0, seed=0))
+                                         activation=act, seed=0))
         t = np.linspace(0.05, 0.95, 9)
         _, dy = forward_with_time_derivative(net, t)
         eps = 1e-6
@@ -116,7 +117,7 @@ class TestTimeDerivative:
         # a loss on both Y and dY/dt reaches both adjoints of both of a
         # layer's activation nodes; every weight and bias entry is checked
         cfg = NetworkConfig(hidden_layers=2, neurons=4, activation=act,
-                            omega=2.0, seed=5)
+                            seed=5)
         net = init_network(cfg)
         rng = np.random.default_rng(1)
         for b in net.biases:
@@ -163,10 +164,10 @@ class TestActivationTable:
     @pytest.mark.parametrize("act", ACTIVATIONS)
     def test_derivatives_match_finite_differences(self, act):
         z = np.linspace(-2.0, 2.0, 9) + 0.05   # clear of relu's kink
-        _, f1, f2 = activation(act, 2.0, z)
+        _, f1, f2 = activation(act, z)
         d1 = f1()
         eps = 1e-5
-        up, down = activation(act, 2.0, z + eps), activation(act, 2.0, z - eps)
+        up, down = activation(act, z + eps), activation(act, z - eps)
         assert np.allclose(d1, (up[0] - down[0]) / (2 * eps), atol=1e-8)
         assert np.allclose(f2(d1), (up[1]() - down[1]()) / (2 * eps),
                            atol=1e-8)
@@ -200,7 +201,7 @@ class TestFoldScales:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         net = init_network(NetworkConfig(hidden_layers=2, neurons=9,
-                                         activation="sin", omega=3.0, seed=7))
+                                         activation="sin", seed=7))
         path = tmp_path / "net.npz"
         save_network(net, path)
         back = load_network(path)
@@ -208,14 +209,38 @@ class TestCheckpoint:
         t = np.linspace(0, 1, 5)
         assert np.array_equal(forward(back, t), forward(net, t))
 
-    def test_config_with_io_sizes_loads(self, tmp_path):
-        # older checkpoints also record input_dim = 1 and output_dim = 4
-        net = init_network(NetworkConfig(hidden_layers=2, neurons=3, seed=7))
-        config = {**asdict(net.config), "input_dim": 1, "output_dim": 4}
+    @staticmethod
+    def save_old(net, path, **recorded):
+        """``net`` saved with ``recorded`` added to its config, as older
+        versions wrote it."""
+        config = {**asdict(net.config), **recorded}
         arrays = {f"W{i}": w for i, w in enumerate(net.weights)}
         arrays.update({f"b{i}": b for i, b in enumerate(net.biases)})
-        np.savez(tmp_path / "old.npz", config=json.dumps(config), **arrays)
+        np.savez(path, config=json.dumps(config), **arrays)
+
+    def assert_loads_unchanged(self, net, tmp_path, **recorded):
+        self.save_old(net, tmp_path / "old.npz", **recorded)
         back = load_network(tmp_path / "old.npz")
         assert back.config == net.config
         t = np.linspace(0, 1, 5)
         assert np.array_equal(forward(back, t), forward(net, t))
+
+    def test_config_with_io_sizes_loads(self, tmp_path):
+        # older checkpoints also record input_dim = 1 and output_dim = 4
+        net = init_network(NetworkConfig(hidden_layers=2, neurons=3, seed=7))
+        self.assert_loads_unchanged(net, tmp_path, input_dim=1, output_dim=4)
+
+    def test_config_with_omega_one_loads(self, tmp_path):
+        # older checkpoints also record the sin frequency omega, 1 by default
+        net = init_network(NetworkConfig(hidden_layers=2, neurons=3,
+                                         activation="sin", seed=7))
+        self.assert_loads_unchanged(net, tmp_path, omega=1.0)
+
+    def test_other_omega_names_the_file(self, tmp_path):
+        net = init_network(NetworkConfig(hidden_layers=1, neurons=3,
+                                         activation="sin"))
+        path = tmp_path / "omega2.npz"
+        self.save_old(net, path, omega=2.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                             "sin frequency omega 2.0"):
+            load_network(path)

@@ -379,6 +379,13 @@ class TestSynthesizeDataset:
             synthesize_dataset(SYS, DRUG, horizon=0.0)
         with pytest.raises(ValueError):
             synthesize_dataset(SYS, DRUG, noise_sd=-1.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="horizon must be finite"):
+                synthesize_dataset(SYS, DRUG, horizon=bad)
+            with pytest.raises(ValueError, match="noise_sd must be finite"):
+                synthesize_dataset(SYS, DRUG, noise_sd=bad)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            synthesize_dataset(SYS, DRUG, noise_sd=1e-4, seed=-1)
 
     def test_concentrations_stay_bounded(self):
         # linear stable system driven by plasma <= peak keeps all

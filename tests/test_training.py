@@ -43,6 +43,13 @@ class TestBoundedParam:
         with pytest.raises(ValueError):
             BoundedParam("Vbb", 2.0, 2.0)
 
+    @pytest.mark.parametrize("lo,hi", [(0.5, np.inf), (-np.inf, 1.0),
+                                       (np.nan, 1.0), (0.5, np.nan)])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        # an infinite box sends the sigmoid bound and DE's reflection to inf
+        with pytest.raises(ValueError, match="Vbb: bounds must be finite"):
+            BoundedParam("Vbb", lo, hi)
+
     def test_far_raw_gives_the_bound_without_overflow(self):
         # exp(1000) overflows a float; the bound saturates instead
         assert constrain(BoundedParam("x", 0.0, 1.0, raw=-1000.0)) == 0.0
@@ -78,18 +85,16 @@ class TestEstimationSpec:
 class TestLossWeights:
     def test_defaults(self):
         w = LossWeights()
-        assert np.array_equal(w.ic, np.ones(4))
-        assert np.array_equal(w.ode, np.full(4, 2.0))
-        assert np.array_equal(w.data, np.full(4, 3.0))
+        assert (w.ic, w.ode, w.data) == (1.0, 2.0, 3.0)
 
     def test_rejects_negative_and_all_zero(self):
         with pytest.raises(ValueError):
-            LossWeights(ic=[-1, 0, 0, 0])
+            LossWeights(ic=-1.0)
         with pytest.raises(ValueError):
-            LossWeights(ic=np.zeros(4), ode=np.zeros(4), data=np.zeros(4))
+            LossWeights(ic=0.0, ode=0.0, data=0.0)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                LossWeights(ode=np.full(4, bad))
+                LossWeights(ode=bad)
 
 
 # -- numpy references of the three loss components ---------------------------
@@ -189,10 +194,11 @@ class TestCompositeLoss:
         folded = nn.fold_scales(net, 48.0, prob.peak)
         pred = nn.forward(folded, ds.times / 48.0)
         obs = ds.concentrations()
-        return (data_loss(pred, obs, w.data, prob.peak),
+        w_data, w_ode, w_ic = (np.full(4, x) for x in (w.data, w.ode, w.ic))
+        return (data_loss(pred, obs, w_data, prob.peak),
                 ode_loss(folded, spec, ds.plasma_profile(), ds.times, 48.0,
-                         w.ode, scale=prob.ode_scale),
-                ic_loss(pred[:, 0], obs[:, 0], w.ic, prob.peak))
+                         w_ode, scale=prob.ode_scale),
+                ic_loss(pred[:, 0], obs[:, 0], w_ic, prob.peak))
 
     def test_total_is_sum_of_components(self):
         prob, _, _, _, ws, bs, rs = self.build()
@@ -207,21 +213,17 @@ class TestCompositeLoss:
                 self.references(prob, net, spec, ds, LossWeights()), rel=1e-12)
 
     def test_mixed_weights_and_exact_zeros(self):
-        w = LossWeights(ic=[1.0, 0.0, 2.0, 0.0], ode=[0.0, 2.0, 0.0, 1.0],
-                        data=[3.0, 0.0, 0.0, 1.0])
-        prob, net, spec, ds, ws, bs, rs = self.build(weights=w)
-        _, comp = _composite_loss(prob, ws, bs, rs)
-        assert comp == pytest.approx(
-            self.references(prob, net, spec, ds, w), rel=1e-12)
-        # move only what reaches zero-weight rows: the observations of
-        # compartments 1 and 2 (data) and 1 and 3 (IC), and the plasma,
-        # which enters brain blood's residual alone (ODE)
-        obs_u, y0_u = prob.obs_u.copy(), prob.y0_u.copy()
-        obs_u[1:3] += 1.0
-        y0_u[[1, 3]] += 1.0
-        moved = dataclasses.replace(prob, obs_u=obs_u, y0_u=y0_u,
-                                    cart=prob.cart + 1.0)
-        assert _composite_loss(moved, ws, bs, rs)[1] == comp
+        # the initial (IC) or all (data) observations reach only the term
+        # whose weight is zero, so moving them changes nothing
+        for w, moved in ((LossWeights(ic=0.0, ode=0.5, data=1.5), "y0_u"),
+                         (LossWeights(ic=2.0, ode=0.5, data=0.0), "obs_u")):
+            prob, net, spec, ds, ws, bs, rs = self.build(weights=w)
+            _, comp = _composite_loss(prob, ws, bs, rs)
+            assert comp == pytest.approx(
+                self.references(prob, net, spec, ds, w), rel=1e-12)
+            shifted = dataclasses.replace(
+                prob, **{moved: getattr(prob, moved) + 1.0})
+            assert _composite_loss(shifted, ws, bs, rs)[1] == comp
 
     def test_scales_from_data_and_bound_midpoints(self):
         prob, _, spec, ds, _, _, _ = self.build()
@@ -283,7 +285,7 @@ class TestCompositeLoss:
                     pytest.approx(fd, rel=1e-4, abs=1e-6), (free_names, i)
 
     def test_zero_ode_weight_skips_residual(self):
-        w = LossWeights(ode=np.zeros(4))
+        w = LossWeights(ode=0.0)
         prob, _, _, _, ws, bs, rs = self.build(weights=w)
         _, (ld, lo, li) = _composite_loss(prob, ws, bs, rs)
         assert lo == 0.0 and ld > 0.0
