@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import dataclasses
 import json
 import sys
@@ -27,9 +26,9 @@ import numpy as np
 
 from . import network as nn
 from .dataio import (ConcentrationSeries, DataIOError, emit_plot,
-                     linear_interp, read_series, write_series)
+                     linear_interp, read_series, write_rows, write_series)
 from .defit import DEConfig, fit_de
-from .metrics import summarize, write_summaries
+from .metrics import summarize
 from .model import COMPARTMENTS
 from .params import (ALL_PARAM_NAMES, DrugParams, ModelVariant, SystemParams,
                      reference_value, substitute)
@@ -243,7 +242,11 @@ def cmd_fit_de(args) -> int:
     reference = _reference_from_manifest(args.data, spec.names)
     out = _outdir(args.out)
     result = fit_de(dataset, spec, cfg, reference=reference)
-    result.write_csv(out / "de_result.csv")
+    write_rows(out / "de_result.csv",
+               ["parameter", "value", "abs_error", "objective"],
+               [[name, value, err, result.objective if i == 0 else None]
+                for i, (name, value, err) in enumerate(
+                    zip(result.names, result.values, result.abs_errors))])
 
     sys_c, drug_c = substitute(spec.base_sys, spec.base_drug,
                                dict(zip(result.names, result.values)))
@@ -269,8 +272,8 @@ def cmd_fit_de(args) -> int:
 # -- sweep -------------------------------------------------------------------
 
 def _sweep_cell(payload):
-    """One sweep cell; returns (network config, final loss or None if
-    training diverged, seconds)."""
+    """One sweep cell; returns (final loss or None if training diverged,
+    seconds)."""
     dataset, net_cfg, train_cfg = payload
     start = time.perf_counter()
     try:
@@ -279,7 +282,7 @@ def _sweep_cell(payload):
         loss = artifacts.loss_total[-1]
     except TrainingDiverged:
         loss = None
-    return net_cfg, loss, time.perf_counter() - start
+    return loss, time.perf_counter() - start
 
 
 def _parse_counts(flag: str, arg: str) -> list[int]:
@@ -301,13 +304,13 @@ def cmd_sweep(args) -> int:
     train_cfg = _config(TrainConfig, iterations=args.iters, lbfgs_iters=0,
                         log_stride=max(1, args.iters // 10), seed=args.seed)
     dataset = _read_dataset(args.data, need_plasma=True)
+    rows = [[L, act] for L in layer_counts for act in activations]
     cells = [(dataset,
               _config(nn.NetworkConfig, hidden_layers=L, neurons=N,
                       activation=act, seed=args.seed,
                       initializer="glorot-uniform"),
               train_cfg)
-             for L in layer_counts for act in activations
-             for N in neuron_counts]
+             for L, act in rows for N in neuron_counts]
     out = _outdir(args.out)
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
@@ -315,21 +318,13 @@ def cmd_sweep(args) -> int:
     else:
         results = [_sweep_cell(c) for c in cells]
 
-    table = {(c.activation, c.hidden_layers, c.neurons): (loss, secs)
-             for c, loss, secs in results}
-    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layers", "activation"] +
-                        [f"N={n}" for n in neuron_counts])
-        for L in layer_counts:
-            for act in activations:
-                row = [L, act]
-                for N in neuron_counts:
-                    loss, secs = table[(act, L, N)]
-                    cell = "diverged" if loss is None else \
-                        f"{loss:.2e} ({secs:.0f})"
-                    row.append(cell)
-                writer.writerow(row)
+    # results come in the order of cells: one row's cells are consecutive
+    text = ["diverged" if loss is None else f"{loss:.2e} ({secs:.0f})"
+            for loss, secs in results]
+    n = len(neuron_counts)
+    write_rows(out / "sweep.csv",
+               ["layers", "activation"] + [f"N={N}" for N in neuron_counts],
+               [row + text[k * n:(k + 1) * n] for k, row in enumerate(rows)])
     print(f"wrote {out / 'sweep.csv'} ({len(cells)} cells)")
     return 0
 
@@ -342,7 +337,10 @@ def cmd_metrics(args) -> int:
                          tail_fraction=args.tail_fraction)
                  for comp in COMPARTMENTS]
     out = _outdir(args.out)
-    write_summaries(summaries, out / "pk_summary.csv")
+    write_rows(out / "pk_summary.csv",
+               ["compartment", "auc", "cmax", "tmax", "half_life"],
+               [[s.compartment, s.auc, s.cmax, s.tmax, s.half_life]
+                for s in summaries])
     print(f"wrote {out / 'pk_summary.csv'}")
     return 0
 
@@ -389,20 +387,13 @@ def cmd_compare(args) -> int:
     out = _outdir(args.out)
 
     names = list(summaries[0][1]["free"])
-    header = ["parameter", "reference"]
-    for _, s in summaries:
-        header += [f"{s['label']}", f"|{s['label']}_err|"]
-    with open(out / "compare.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for name in names:
-            row = [name, f"{reference_value(name):.17g}"]
-            for _, s in summaries:
-                v = s["values"].get(name)
-                e = s["abs_errors"].get(name)
-                row.append("" if v is None else f"{v:.17g}")
-                row.append("" if e is None else f"{e:.17g}")
-            writer.writerow(row)
+    header = ["parameter", "reference"] + [
+        h for _, s in summaries for h in (s["label"], f"|{s['label']}_err|")]
+    write_rows(out / "compare.csv", header,
+               [[name, reference_value(name)]
+                + [s[k].get(name) for _, s in summaries
+                   for k in ("values", "abs_errors")]
+                for name in names])
 
     if labeled:
         for comp in COMPARTMENTS:

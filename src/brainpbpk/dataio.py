@@ -8,10 +8,15 @@ Loss-history CSV  header ``iter,loss_data,loss_ode,loss_ic,loss_total``.
 Trajectory CSV    header ``iter,<param1>,<param2>,...``.
 SVG plots         standalone, 1000x700 viewBox, no external assets.
 
-``_write_table`` writes all three CSVs: UTF-8, CRLF line ends and every
-cell, ``Time`` and ``iter`` included, at ``%.17g``. ``read_series`` takes
-the data CSV's header through the csv module and its non-blank rows in one
-``np.loadtxt`` parse.
+Every CSV is UTF-8 with CRLF line ends, every number at ``%.17g`` and an
+empty cell for a missing value, from one of two writers. ``_write_table``
+writes the three all-float tables above, ``Time`` and ``iter`` included,
+in whole-array blocks. ``write_rows`` writes the tables of mixed cells
+that the CLI lays out (``de_result.csv``, ``pk_summary.csv``,
+``sweep.csv``, whose loss cells are text, and ``compare.csv``) through the
+csv module, which quotes a cell only where it needs it. ``read_series``
+takes the data CSV's header through the csv module and its non-blank rows
+in one ``np.loadtxt`` parse.
 """
 from __future__ import annotations
 
@@ -156,6 +161,16 @@ def _write_table(path, header, table) -> None:
         for start in range(0, len(table), 4096):
             block = table[start:start + 4096]
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_rows(path, header, rows) -> None:
+    """``header``, then each row of ``rows``: a number at ``%.17g``,
+    ``None`` as an empty cell and a string as it is."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(["" if c is None else c if isinstance(c, str)
+                          else "%.17g" % c for c in row] for row in rows)
 
 
 def _parse(rows, usecols) -> np.ndarray:

@@ -13,7 +13,6 @@ scores +inf without affecting the others.
 """
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -59,17 +58,6 @@ class EstimationResult:
     generations: int = 0
     stop_reason: str = "budget"     # "stagnation" or "budget"
     inf_candidates: int = 0         # rows scored +inf over the run
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["parameter", "value", "abs_error", "objective"])
-            for i, name in enumerate(self.names):
-                err = self.abs_errors[i]
-                writer.writerow([
-                    name, f"{self.values[i]:.17g}",
-                    "" if err is None else f"{err:.17g}",
-                    f"{self.objective:.17g}" if i == 0 else ""])
 
 
 def population_sse(population, spec: EstimationSpec,
@@ -133,7 +121,7 @@ def differential_evolution(objective, bounds, cfg: DEConfig = DEConfig()):
     non-increasing across generations."""
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
-    if np.any(lo >= hi):
+    if not (lo.size and np.isfinite([lo, hi]).all() and np.all(lo < hi)):
         raise ValueError("invalid bounds")
     dim = lo.size
     npop = cfg.population or 10 * dim

@@ -1,7 +1,6 @@
 """Pharmacokinetic summary quantities: AUC, Cmax, Tmax, half-life."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +66,3 @@ def summarize(series: ConcentrationSeries, compartment: str,
                      cmax=cmax, tmax=tmax,
                      half_life=half_life(series, compartment, tail_fraction))
 
-
-def write_summaries(summaries, path) -> None:
-    """One CSV row per summary."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["compartment", "auc", "cmax", "tmax", "half_life"])
-        for s in summaries:
-            writer.writerow([s.compartment, f"{s.auc:.17g}", f"{s.cmax:.17g}",
-                             f"{s.tmax:.17g}",
-                             "" if s.half_life is None else f"{s.half_life:.17g}"])

@@ -102,7 +102,8 @@ def activation(name: str, z: np.ndarray):
         a = np.tanh(z)
         return a, lambda: 1.0 - a * a, lambda d1: -2.0 * a * d1
     if name == "sigmoid":
-        a = 1.0 / (1.0 + np.exp(-z))
+        with np.errstate(over="ignore"):  # exp(1000) = inf gives f = 0
+            a = 1.0 / (1.0 + np.exp(-z))
         return a, lambda: a * (1.0 - a), lambda d1: d1 * (1.0 - 2.0 * a)
     if name == "relu":
         # subgradient 0 at exactly z = 0; f'' is 0 and broadcasts

@@ -105,6 +105,8 @@ class EstimationSpec:
 
     def __post_init__(self):
         names = [p.name for p in self.free]
+        if not names:
+            raise ValueError("need at least one free parameter")
         unknown = set(names) - set(ALL_PARAM_NAMES)
         if unknown:
             raise ValueError(f"unknown model parameters: {sorted(unknown)}")

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -6,12 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import brainpbpk
 
 from brainpbpk.cli import main
-from brainpbpk.dataio import read_series
+from brainpbpk.dataio import ConcentrationSeries, read_series, write_series
 
 
 @pytest.fixture(scope="module")
@@ -229,10 +231,16 @@ class TestFitDe:
                    "--free", "Vbb,Vscsf", "--generations", "60",
                    "--out", str(tmp_path)])
         assert rc == 0
-        lines = (tmp_path / "de_result.csv").read_text().splitlines()
-        assert lines[0] == "parameter,value,abs_error,objective"
+        lines = (tmp_path / "de_result.csv").read_bytes().split(b"\r\n")
+        assert lines[0] == b"parameter,value,abs_error,objective"
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["label"] == "DE"
+        # every number at 17 significant digits; the objective only once
+        assert lines[1].decode() == "Vbb,%.17g,%.17g,%.17g" % (
+            summary["values"]["Vbb"], summary["abs_errors"]["Vbb"],
+            summary["objective"])
+        assert lines[2].startswith(b"Vscsf,") and lines[2].endswith(b",")
+        assert lines[3:] == [b""]
         assert (tmp_path / "prediction.csv").exists()
 
     def test_artifacts_bit_reproducible(self, dataset_dir, tmp_path):
@@ -361,13 +369,20 @@ class TestSweep:
 
 
 class TestMetrics:
-    def test_summary_csv(self, dataset_dir, tmp_path):
-        rc = main(["metrics", "--data", str(dataset_dir / "dataset.csv"),
+    def test_summary_csv(self, tmp_path):
+        # Cbb decays; the other compartments stay 0 and have no half-life
+        t = np.linspace(0, 48, 100)
+        conc = np.zeros((4, t.size))
+        conc[0] = np.exp(-0.1 * t)
+        write_series(ConcentrationSeries(t, conc), tmp_path / "data.csv")
+        rc = main(["metrics", "--data", str(tmp_path / "data.csv"),
                    "--out", str(tmp_path)])
         assert rc == 0
         lines = (tmp_path / "pk_summary.csv").read_text().splitlines()
         assert lines[0] == "compartment,auc,cmax,tmax,half_life"
         assert len(lines) == 5
+        assert lines[1].startswith("Cbb,") and not lines[1].endswith(",")
+        assert lines[2] == "Cbm,0,0,0,"
 
     def test_bad_tail_fraction(self, dataset_dir, tmp_path):
         with pytest.raises(SystemExit):
@@ -395,6 +410,30 @@ class TestCompare:
         assert lines[1].startswith("Vbb,0.064952435")
         for c in ("Cbb", "Cbm", "Cccsf", "Cscsf"):
             assert (comp / f"compare_{c}.svg").exists()
+
+    def test_label_with_comma_and_quote(self, tmp_path):
+        # a label is a cell of its own, quoted; a missing value is empty
+        paths = []
+        for label, values in (('a, "b"', {"Vbb": 0.06, "fubb": 0.1}),
+                              ("c", {"Vbb": 0.07})):
+            path = tmp_path / f"{label[0]}.json"
+            path.write_text(json.dumps({
+                "label": label, "free": list(values), "values": values,
+                "abs_errors": {}, "prediction": "none.csv"}))
+            paths.append(str(path))
+        assert main(["compare", "--results", *paths,
+                     "--out", str(tmp_path / "cmp")]) == 0
+        text = (tmp_path / "cmp" / "compare.csv").read_text(encoding="utf-8")
+        assert text.startswith(
+            'parameter,reference,"a, ""b""","|a, ""b""_err|",c,|c_err|\n')
+        with open(tmp_path / "cmp" / "compare.csv", newline="",
+                  encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][2:4] == ['a, "b"', '|a, "b"_err|']
+        assert rows[1] == ["Vbb", "0.064952435000000003",
+                           "0.059999999999999998", "", "0.070000000000000007",
+                           ""]
+        assert rows[2] == ["fubb", "0.125", "0.10000000000000001", "", "", ""]
 
     def test_incomplete_summary_is_an_error(self, dataset_dir, tmp_path):
         good = tmp_path / "good"

@@ -1,3 +1,4 @@
+import csv
 import pathlib
 import tempfile
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from brainpbpk.dataio import (ConcentrationSeries, EmptyPlot, MissingColumn,
                               NonMonotonicTime, NonNumericCell, PlasmaProfile,
                               RunArtifacts, emit_plot, linear_interp,
-                              read_series, write_series)
+                              read_series, write_rows, write_series)
 from brainpbpk.model import COMPARTMENTS
 from brainpbpk.params import DrugParams, SystemParams
 from brainpbpk.solvers import synthesize_dataset
@@ -227,8 +228,9 @@ class TestReadWrite:
 
 
 class TestExactBytes:
-    """The numeric CSVs pinned byte for byte: a header row, CRLF line ends
-    and every cell at %.17g, ``Time`` and ``iter`` included."""
+    """The CSVs pinned byte for byte: a header row, CRLF line ends and
+    every number at %.17g, ``Time`` and ``iter`` included; ``write_rows``
+    also writes ``None`` as an empty cell and quotes only where needed."""
 
     DATA = ("Time,Cbb,Cbm,Cccsf,Cscsf,Cplasma\n0,0,0.3,1e-20,0,0\n"
             "0.1,0.2,0.3333333333333333,2.5,1e+300,0.06\n"
@@ -276,6 +278,19 @@ class TestExactBytes:
             b"iter,Vbb,fubb\r\n"
             b"0,0.064952435000000003,0.125\r\n"
             b"50500,0.070000000000000007,0.10000000000000001\r\n")
+
+    def test_mixed_rows(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_rows(path, ["name", "value", "note"],
+                   [["Vbb", 0.1, None], ["n", 7, 'a, "b"'],
+                    ["big", np.float64(1e300), "-"]])
+        assert path.read_bytes() == (
+            b"name,value,note\r\n"
+            b"Vbb,0.10000000000000001,\r\n"
+            b'n,7,"a, ""b"""\r\n'
+            b"big,1.0000000000000001e+300,-\r\n")
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh))[2] == ["n", "7", 'a, "b"']
 
 
 class TestLinearInterp:

@@ -5,9 +5,8 @@ from brainpbpk.params import (ALL_PARAM_NAMES, DrugParams, SystemParams,
                               reference_value, substitute)
 from brainpbpk.solvers import synthesize_dataset
 from brainpbpk import defit
-from brainpbpk.defit import (DEConfig, EstimationResult, _reflect,
-                             differential_evolution, fit_de, population_sse,
-                             sse_objective)
+from brainpbpk.defit import (DEConfig, _reflect, differential_evolution,
+                             fit_de, population_sse, sse_objective)
 from brainpbpk.training import (BoundedParam, EstimationSpec,
                                 default_estimation_spec)
 
@@ -83,8 +82,19 @@ class TestDifferentialEvolution:
             DEConfig(generations=-1)
         with pytest.raises(ValueError):
             DEConfig(stagnation_window=0)
-        with pytest.raises(ValueError):
-            differential_evolution(lambda X: np.zeros(len(X)), [(1.0, 1.0)])
+
+    # an empty interval, an infinite or NaN end, or no coordinate at all
+    # has no box to sample
+    @pytest.mark.parametrize("bounds", [
+        pytest.param([(1.0, 1.0)], id="lo-equals-hi"),
+        pytest.param([(0.5, np.inf)], id="inf-hi"),
+        pytest.param([(-np.inf, 1.0)], id="inf-lo"),
+        pytest.param([(0.0, 1.0), (np.nan, 1.0)], id="nan"),
+        pytest.param([], id="empty")])
+    def test_invalid_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="^invalid bounds$"):
+            differential_evolution(lambda X: np.zeros(len(X)), bounds,
+                                   DEConfig(generations=2))
 
     def test_scalar_objective_rejected(self):
         with pytest.raises(ValueError):
@@ -184,16 +194,6 @@ class TestFitDe:
         assert res.abs_errors[0] < 1e-4
         assert res.abs_errors[1] < 1e-4
         assert res.objective < 1e-12
-
-    def test_result_csv(self, tmp_path):
-        res = EstimationResult(names=["Vbb"], values=np.array([0.065]),
-                               abs_errors=[1e-5], objective=1e-9,
-                               wall_seconds=2.5)
-        path = tmp_path / "fit.csv"
-        res.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "parameter,value,abs_error,objective"
-        assert lines[1].startswith("Vbb,0.065")
 
     def test_inf_candidates_and_budget_stop(self, monkeypatch):
         # Vbb bounds straddle zero, so some rows fail validation

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from brainpbpk.dataio import ConcentrationSeries
 from brainpbpk.metrics import (PkSummary, TooFewPoints, auc_trapezoid,
-                               cmax_tmax, half_life, summarize,
-                               write_summaries)
-from brainpbpk.model import COMPARTMENTS
+                               cmax_tmax, half_life, summarize)
 
 
 def series_from(times, cbb, **kw):
@@ -103,15 +101,3 @@ class TestSummaries:
         assert out.compartment == "Cbb"
         assert out.tmax == 0.0
         assert out.half_life == pytest.approx(np.log(2) / 0.1, rel=1e-9)
-
-    def test_write_summaries_csv(self, tmp_path):
-        t = np.linspace(0, 48, 100)
-        s = series_from(t, np.exp(-0.1 * t))
-        path = tmp_path / "pk.csv"
-        write_summaries([summarize(s, c) for c in COMPARTMENTS], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "compartment,auc,cmax,tmax,half_life"
-        assert len(lines) == 5
-        assert lines[1].startswith("Cbb,")
-        # zero compartments have empty half-life cells
-        assert lines[2].endswith(",")

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -171,6 +172,15 @@ class TestActivationTable:
         assert np.allclose(d1, (up[0] - down[0]) / (2 * eps), atol=1e-8)
         assert np.allclose(f2(d1), (up[1]() - down[1]()) / (2 * eps),
                            atol=1e-8)
+
+    def test_sigmoid_saturates_without_warning(self):
+        # exp(1000) overflows to inf; f is still exactly 0 there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, f1, _ = activation("sigmoid", np.array([-1000.0, 1000.0]))
+            d1 = f1()
+        assert a.tolist() == [0.0, 1.0]
+        assert d1.tolist() == [0.0, 0.0]
 
 
 class TestFoldScales:

@@ -7,6 +7,7 @@ from brainpbpk import network as nn
 from brainpbpk import training
 from brainpbpk.autodiff import Var, grad
 from brainpbpk.dataio import linear_interp
+from brainpbpk.defit import DEConfig, fit_de
 from brainpbpk.model import influx_terms, volumes
 from brainpbpk.params import (DrugParams, SystemParams, reference_value,
                               substitute)
@@ -80,6 +81,19 @@ class TestEstimationSpec:
         with pytest.raises(ValueError):
             EstimationSpec(free=[BoundedParam("Vbb", 0, 1),
                                  BoundedParam("Vbb", 0, 2)])
+
+    # the spec refuses an empty free set before either engine sees it
+    @pytest.mark.parametrize("engine", [
+        pytest.param(lambda ds, spec: fit_de(ds, spec,
+                                             DEConfig(generations=1)),
+                     id="fit_de"),
+        pytest.param(lambda ds, spec: train(
+            ds, spec, nn.NetworkConfig(hidden_layers=1, neurons=2),
+            TrainConfig(iterations=1, lbfgs_iters=0)), id="train")])
+    def test_no_free_parameter_rejected(self, engine):
+        with pytest.raises(ValueError,
+                           match="^need at least one free parameter$"):
+            engine(small_dataset(5), EstimationSpec(free=[]))
 
 
 class TestLossWeights:
