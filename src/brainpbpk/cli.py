@@ -51,6 +51,9 @@ def _parse_free(arg: str) -> list[str]:
     unknown = set(names) - set(ALL_PARAM_NAMES)
     if unknown:
         raise SystemExit(f"error: unknown parameter(s): {sorted(unknown)}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise SystemExit(f"error: --free repeats {', '.join(repeated)}")
     return names
 
 
@@ -82,13 +85,17 @@ def _config(make, **kwargs):
 
 def _read_dataset(path, need_plasma: bool = False) -> ConcentrationSeries:
     """The dataset at ``path``; an unreadable file, a non-finite cell, fewer
-    than 2 rows or a bad Cplasma column (if needed) exit with an error."""
+    than 2 rows or, for a dataset to fit (``need_plasma``), a bad Cplasma
+    column or a row before the dose at t=0 exit with an error."""
     try:
         dataset = read_series(path)
         if len(dataset) < 2:
             raise ValueError("dataset needs at least 2 rows")
         if need_plasma:
             dataset.plasma_profile()  # raises MissingColumn without one
+            if dataset.times[0] < 0:
+                raise ValueError("times must start at or after the dose "
+                                 "at t=0")
     except OSError as err:
         raise SystemExit(f"error: {err}") from None
     except (DataIOError, ValueError) as err:
@@ -236,9 +243,6 @@ def cmd_fit_de(args) -> int:
     cfg = _config(DEConfig, population=args.population,
                   generations=args.generations, seed=args.seed)
     dataset = _read_dataset(args.data, need_plasma=True)
-    if dataset.times[0] < 0:
-        raise SystemExit(f"error: {args.data}: times must start at or after "
-                         "the dose at t=0")
     reference = _reference_from_manifest(args.data, spec.names)
     out = _outdir(args.out)
     result = fit_de(dataset, spec, cfg, reference=reference)
@@ -426,9 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=int, default=6)
     p.add_argument("--neurons", type=int, default=50)
     p.add_argument("--activation", default="tanh",
-                   choices=["tanh", "sigmoid", "relu", "sin"])
+                   choices=nn.ACTIVATIONS)
     p.add_argument("--init", default="glorot-normal",
-                   choices=["glorot-normal", "glorot-uniform"])
+                   choices=nn.INITIALIZERS)
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--iters", type=int, default=50_000)
     p.add_argument("--lbfgs-iters", type=int, default=500)

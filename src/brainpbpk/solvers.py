@@ -6,17 +6,17 @@ classic fixed-step RK4, adaptive Dormand-Prince 5(4), and an exact
 matrix-exponential propagator that exploits the linearity of the system
 with piecewise-linear forcing (used as the ground-truth oracle).
 
-The exact propagator works on a stack of rate matrices at once
-(``propagate_states``), so the DE objective scores a whole population in
-one solve; ``expm_propagate`` is its one-matrix form. Each step is an
-affine map y+ = Phi y + d whose operators come from one call of ``expm``,
-this module's batched Pade-13 scaling-and-squaring exponential. On a
-uniform grid (every ``np.linspace`` grid) there is one step length, so one
-6x6 exponential per matrix, and the states are found by a doubling scan in
-ceil(log2 n) array operations. Any other grid, e.g. data sampled at
-irregular times, takes one exponential per distinct step length and a
-recurrence over the breakpoints, which also serves as the test oracle of
-the scan.
+The exact propagator has one implementation, ``propagate_states``, which
+works on a stack of rate matrices at once, so the DE objective scores a
+whole population in one solve; ``expm_propagate`` calls it for one matrix
+and checks that the states are finite. Each step is an affine map
+y+ = Phi y + d whose operators, one per distinct step length, come from
+one call of ``expm``, this module's batched Pade-13 scaling-and-squaring
+exponential. On a uniform grid (every ``np.linspace`` grid) there is one
+step length, so one 6x6 exponential per matrix, and the states are found
+by a doubling scan in ceil(log2 n) array operations. Any other grid, e.g.
+data sampled at irregular times, takes a recurrence over the breakpoints,
+which also serves as the test oracle of the scan.
 """
 from __future__ import annotations
 
@@ -231,73 +231,16 @@ def _transition_ops(A: np.ndarray, f: np.ndarray, dts: np.ndarray):
     constant-forcing column carries f, so every matrix of the stack
     ``A (..., 4, 4)`` with forcing ``f (..., 4)`` gets its own exponential.
     One call of the batched Pade-13 ``expm`` above covers every matrix and
-    every step length; the step-length axis comes first in the results.
+    every step length. Phi is ``(k, ..., 4, 4)`` for k step lengths; Psi0
+    and Psi1 are ``(..., 4, k)``, the step axis last like the states.
     """
     M = np.zeros(A.shape[:-2] + (dts.size, 6, 6))
     M[..., :4, :4] = A[..., None, :, :]
     M[..., :4, 4] = f[..., None, :]  # constant-forcing column
     M[..., 4, 5] = 1.0  # d/ds of the ramp weight
-    E = np.moveaxis(expm(M * dts[:, None, None]), -3, 0)
-    return (np.ascontiguousarray(E[..., :4, :4]), E[..., :4, 4:5],
-            E[..., :4, 5:6])
-
-
-def _propagate(A, f, y0, plasma: PlasmaProfile, grid: np.ndarray, t0: float):
-    """Breakpoints and the states at each of them, shape (..., 4, n).
-
-    Intervals are split at plasma knots so the forcing is affine on each
-    piece; over a step of length dt the update is the affine map
-    y+ = Phi y + d with d = c0*Psi0 + c1*Psi1 (see ``_transition_ops``).
-
-    A uniform grid (every step equal to within a few ulps of its largest
-    time, as ``np.linspace`` makes them) needs one operator per matrix, and
-    the states are the prefix sums of one affine map: column 0 holds y0,
-    column k the drive of step k, and ceil(log2 n) doubling levels
-    ``v[k] += P v[k - s]; P = P @ P`` (a Hillis-Steele scan) replace the
-    per-step recurrence. Any other grid takes one operator per distinct
-    step length (to 14 decimals) and a recurrence over the breakpoints.
-    Non-finite states are left in place for the caller to judge.
-    """
-    if grid[0] < t0 - 1e-12:
-        raise ValueError("output grid must start at or after t0")
-    A, f = np.asarray(A, dtype=float), np.asarray(f, dtype=float)
-    knots = plasma.times[(plasma.times > t0) & (plasma.times < grid[-1])]
-    breakpoints = np.unique(np.concatenate([[t0], grid, knots]))
-    dts = np.diff(breakpoints)
-    cart = np.interp(breakpoints, plasma.times, plasma.values)
-    c0, c1 = cart[:-1], np.diff(cart) / dts
-    uniform = dts.size > 0 and (np.ptp(dts) <= 4 * np.finfo(float).eps
-                                * np.max(np.abs(breakpoints[[0, -1]])))
-
-    if uniform:
-        Phi, Psi0, Psi1 = (op[0] for op in _transition_ops(A, f, dts[:1]))
-        states = np.empty(Psi0.shape[:-1] + (breakpoints.size,))
-        states[..., 0] = y0
-        states[..., 1:] = c0 * Psi0 + c1 * Psi1
-        with np.errstate(over="ignore", invalid="ignore"):
-            shift, P = 1, Phi
-            while shift < breakpoints.size:
-                states[..., shift:] += P @ states[..., :-shift]
-                shift *= 2
-                if shift < breakpoints.size:
-                    P = P @ P
-        return breakpoints, states
-
-    _, first, step_op = np.unique(np.round(dts, 14), return_index=True,
-                                  return_inverse=True)
-    Phi, Psi0, Psi1 = _transition_ops(A, f, dts[first])
-    per_step = (-1,) + (1,) * (Psi0.ndim - 1)
-    drive = c0.reshape(per_step) * Psi0[step_op]
-    drive += c1.reshape(per_step) * Psi1[step_op]
-
-    states = np.empty((breakpoints.size,) + Psi0.shape[1:])
-    states[0] = np.asarray(y0, dtype=float)[:, None]
-    y = states[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, k in enumerate(step_op.tolist()):
-            y = Phi[k] @ y + drive[i]
-            states[i + 1] = y
-    return breakpoints, np.moveaxis(states[..., 0], 0, -1)
+    E = expm(M * dts[:, None, None])
+    return (np.ascontiguousarray(np.moveaxis(E[..., :4, :4], -3, 0)),
+            np.swapaxes(E[..., :4, 4], -1, -2), np.swapaxes(E[..., :4, 5], -1, -2))
 
 
 def propagate_states(A, f, y0, plasma: PlasmaProfile, grid,
@@ -310,26 +253,64 @@ def propagate_states(A, f, y0, plasma: PlasmaProfile, grid,
     ``ConcentrationSeries.concentrations``. A system that blows up yields
     non-finite entries rather than an exception; a grid that starts before
     ``t0`` raises ValueError.
+
+    Intervals are split at plasma knots so the forcing is affine on each
+    piece; column 0 of the breakpoint states holds y0 and column k+1 the
+    drive c0*Psi0 + c1*Psi1 of step k (see ``_transition_ops``), to which
+    Phi times column k is then added. A uniform grid (every step equal to
+    within a few ulps of its largest time, as ``np.linspace`` makes them)
+    needs one operator per matrix, and ceil(log2 n) doubling levels
+    ``v[k] += P v[k - s]; P = P @ P`` (a Hillis-Steele scan) replace the
+    per-step recurrence. Any other grid takes one operator per distinct
+    step length (to 14 decimals) and that recurrence over the breakpoints.
     """
     grid = np.asarray(grid, dtype=float)
-    breakpoints, states = _propagate(A, f, y0, plasma, grid, t0)
+    if grid[0] < t0 - 1e-12:
+        raise ValueError("output grid must start at or after t0")
+    A, f = np.asarray(A, dtype=float), np.asarray(f, dtype=float)
+    knots = plasma.times[(plasma.times > t0) & (plasma.times < grid[-1])]
+    breakpoints = np.unique(np.concatenate([[t0], grid, knots]))
+    dts = np.diff(breakpoints)
+    cart = np.interp(breakpoints, plasma.times, plasma.values)
+    c0, c1 = cart[:-1], np.diff(cart) / dts
+    uniform = dts.size > 0 and (np.ptp(dts) <= 4 * np.finfo(float).eps
+                                * np.max(np.abs(breakpoints[[0, -1]])))
+    if uniform:  # one operator, broadcast over every step
+        first, step_op = [0], slice(None)
+    else:
+        _, first, step_op = np.unique(np.round(dts, 14), return_index=True,
+                                      return_inverse=True)
+    Phi, Psi0, Psi1 = _transition_ops(A, f, dts[first])
+    states = np.empty(Psi0.shape[:-1] + (breakpoints.size,))
+    states[..., 0] = y0
+    states[..., 1:] = c0 * Psi0[..., step_op] + c1 * Psi1[..., step_op]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if uniform:
+            shift, P = 1, Phi[0]
+            while shift < breakpoints.size:
+                states[..., shift:] += P @ states[..., :-shift]
+                shift *= 2
+                if shift < breakpoints.size:
+                    P = P @ P
+        else:
+            for k, op in enumerate(step_op.tolist()):
+                states[..., k + 1:k + 2] += Phi[op] @ states[..., k:k + 1]
     return states[..., np.searchsorted(breakpoints, grid)]
 
 
 def expm_propagate(A: np.ndarray, f: np.ndarray, y0, plasma: PlasmaProfile,
                    grid, t0: float = 0.0) -> ConcentrationSeries:
-    """Exact propagation of Y' = A Y + f Cart(t) on the grid, for one state
-    matrix ``A (4, 4)`` and forcing vector ``f (4,)``; raises
-    NonFiniteState at the first breakpoint where the state is not finite,
-    and ValueError if the grid starts before ``t0``."""
+    """``propagate_states`` for one state matrix ``A (4, 4)`` and forcing
+    vector ``f (4,)``, as a series; raises NonFiniteState at the first grid
+    time where the state is not finite."""
     grid = np.asarray(grid, dtype=float)
-    breakpoints, states = _propagate(A, f, y0, plasma, grid, t0)
+    # the gathered grid states are time-major in memory; the C-order copy
+    # that the series keeps lets the check below reduce whole rows
+    states = np.ascontiguousarray(propagate_states(A, f, y0, plasma, grid, t0))
     bad = ~np.all(np.isfinite(states), axis=0)
     if bad.any():
-        raise NonFiniteState(
-            f"non-finite state at t={breakpoints[np.argmax(bad)]:.6g}")
-    return ConcentrationSeries(grid, states[:, np.searchsorted(breakpoints, grid)],
-                               linear_interp(plasma, grid))
+        raise NonFiniteState(f"non-finite state at t={grid[np.argmax(bad)]:.6g}")
+    return ConcentrationSeries(grid, states, linear_interp(plasma, grid))
 
 
 # --- synthetic datasets -----------------------------------------------------

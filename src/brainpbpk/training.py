@@ -51,7 +51,7 @@ import numpy as np
 
 from . import network as nn
 from .autodiff import NonFiniteGradient, Var, grad
-from .dataio import ConcentrationSeries, RunArtifacts, linear_interp
+from .dataio import ConcentrationSeries, RunArtifacts
 from .model import rates
 from .params import (ALL_PARAM_NAMES, DrugParams, SystemParams,
                      reference_value, substitute)
@@ -277,7 +277,7 @@ def build_problem(dataset: ConcentrationSeries, spec: EstimationSpec,
     return _Problem(
         cfg=net_cfg, spec=spec, horizon=float(times[-1]), times=times,
         obs_u=obs / peak[:, None], y0_u=(obs[:, 0] / peak)[:, None],
-        cart=linear_interp(plasma, times), peak=peak, ode_scale=ode_scale,
+        cart=plasma.values, peak=peak, ode_scale=ode_scale,
         w_data=w.data / n, w_ic=w.ic,
         w_ode=(w.ode / (n * ode_scale ** 2))[:, None])
 

@@ -90,6 +90,14 @@ def test_negative_seed_is_an_error(dataset_dir, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["train", "fit-de"])
+def test_repeated_free_name_is_an_error(dataset_dir, tmp_path, command):
+    with pytest.raises(SystemExit, match="^error: --free repeats Vbb$"):
+        main([*COMMANDS[command], "--data", str(dataset_dir / "dataset.csv"),
+              "--free", "Vbb,Vbm,Vbb", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "fit-de"])
 def test_infinite_box_is_an_error(dataset_dir, tmp_path, command):
     with pytest.raises(SystemExit, match=r"^error: --bounds-scale 0\.5,inf: "
                                          "Vbb: bounds must be finite"):
@@ -313,21 +321,6 @@ class TestFitDe:
                   "--generations", "1", "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
-    def test_times_before_dose_are_an_error(self, dataset_dir, tmp_path):
-        # the model starts from zero states at t=0, so no row may come earlier
-        lines = (dataset_dir / "dataset.csv").read_text().splitlines()
-        rows = [r.split(",") for r in lines[1:]]
-        for row in rows:
-            row[0] = repr(float(row[0]) - 2.0)
-        data = tmp_path / "early.csv"
-        data.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]))
-        with pytest.raises(SystemExit,
-                           match=f"^error: {re.escape(str(data))}: times must "
-                                 "start at or after the dose at t=0$"):
-            main(["fit-de", "--data", str(data), "--free", "Vbb",
-                  "--generations", "1", "--out", str(tmp_path / "out")])
-        assert not (tmp_path / "out").exists()
-
 
 class TestSweep:
     def test_tiny_grid(self, dataset_dir, tmp_path):
@@ -506,7 +499,8 @@ class TestCompare:
 
 def bad_dataset(dataset_dir, tmp_path, kind):
     """A copy of the dataset with one defect, alone in a new directory:
-    a NaN or inf concentration, a negative plasma value, or one row."""
+    a NaN or inf concentration, a negative plasma value, one row, or every
+    row moved earlier so that the last one is at the dose (t=0)."""
     lines = (dataset_dir / "dataset.csv").read_text().splitlines()
     header, rows = lines[0], [r.split(",") for r in lines[1:]]
     if kind == "nan":
@@ -515,6 +509,11 @@ def bad_dataset(dataset_dir, tmp_path, kind):
         rows[3][2] = "inf"
     elif kind == "negative-plasma":
         rows[3][5] = "-1"
+    elif kind == "before-dose":
+        # the model starts from zero states at t=0, so no row may come earlier
+        end = float(rows[-1][0])
+        for row in rows:
+            row[0] = repr(float(row[0]) - end)
     else:
         rows = rows[:1]
     path = tmp_path / "bad" / "dataset.csv"
@@ -532,11 +531,13 @@ class TestBadDataset:
         "inf": "column Cbm contains non-finite values",
         "negative-plasma": "plasma concentrations must be non-negative",
         "one-row": "dataset needs at least 2 rows",
+        "before-dose": "times must start at or after the dose at t=0$",
     }
 
     @pytest.mark.parametrize("command,kind", [
         (command, kind) for command in ("train", "fit-de", "sweep")
-        for kind in ("nan", "inf", "negative-plasma", "one-row")] + [
+        for kind in ("nan", "inf", "negative-plasma", "one-row",
+                     "before-dose")] + [
         ("metrics", kind) for kind in ("nan", "inf", "one-row")])
     def test_defect_is_an_error(self, dataset_dir, tmp_path, command, kind):
         data = bad_dataset(dataset_dir, tmp_path, kind)

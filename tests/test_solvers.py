@@ -125,6 +125,14 @@ class TestExpmPropagate:
             expm_propagate(50.0 * np.eye(4), FORCING, np.ones(4),
                            constant_plasma(0.0), grid)
 
+    def test_blow_up_between_grid_times_names_a_grid_time(self):
+        # the state first overflows at the plasma knot t=14.5, which splits
+        # a step of the per-step loop; the error names the next grid time
+        grid = np.linspace(0.0, 48.0, 49)
+        with pytest.raises(NonFiniteState, match=r"t=15\b"):
+            expm_propagate(50.0 * np.eye(4), FORCING, np.ones(4),
+                           knotted(constant_plasma(0.0), 14.5), grid)
+
     def test_grid_before_t0_rejected(self):
         grid = np.linspace(-2.0, 1.0, 4)
         with pytest.raises(ValueError, match="start at or after t0"):
@@ -226,8 +234,13 @@ def knotted(plasma, t):
 
 
 class TestPropagateStates:
-    @pytest.mark.parametrize("rows", [None, 60])
-    def test_doubling_scan_matches_step_loop(self, rows):
+    # one system or a stack of 60, each from a zero and a non-zero start
+    @pytest.mark.parametrize("rows,y0", [
+        pytest.param(rows, y0, id=f"{rows}{tag}")
+        for tag, y0 in [("", np.zeros(4)),
+                        ("-y0", np.array([0.01, 0.02, 0.03, 0.04]))]
+        for rows in (None, 60)])
+    def test_doubling_scan_matches_step_loop(self, rows, y0):
         # a plasma knot inside one step splits it, so the knotted solve
         # takes the per-step loop over the same ODE as the uniform scan
         grid = np.linspace(0.0, 48.0, 200)
@@ -241,8 +254,8 @@ class TestPropagateStates:
         f = np.array([s.Qbrain / s.Vbb * E1 for s in systems])
         if rows is None:
             A, f = A[0], f[0]
-        scan = propagate_states(A, f, np.zeros(4), plasma, grid)
-        loop = propagate_states(A, f, np.zeros(4),
+        scan = propagate_states(A, f, y0, plasma, grid)
+        loop = propagate_states(A, f, y0,
                                 knotted(plasma, 0.5 * (grid[7] + grid[8])), grid)
         assert scan.shape == loop.shape == A.shape[:-2] + (4, grid.size)
         peak = np.max(np.abs(loop), axis=-1, keepdims=True)
