@@ -48,9 +48,10 @@ def _parse_free(arg: str) -> list[str]:
     names = [n.strip() for n in arg.split(",") if n.strip()]
     if not names:
         raise SystemExit("error: --free must name at least one parameter")
-    unknown = set(names) - set(ALL_PARAM_NAMES)
+    unknown = sorted(set(names) - set(ALL_PARAM_NAMES))
     if unknown:
-        raise SystemExit(f"error: unknown parameter(s): {sorted(unknown)}")
+        raise SystemExit("error: --free names unknown parameter(s): "
+                         f"{', '.join(unknown)}")
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise SystemExit(f"error: --free repeats {', '.join(repeated)}")

@@ -4,6 +4,13 @@ Classic rand/1/bin: mutant v = a + F*(b - c) over three distinct random
 members, binomial crossover with a guaranteed mutated coordinate, greedy
 selection. Out-of-bounds coordinates are reflected back into the box.
 
+Seed contract: after the initial population, each generation draws, row by
+row, a permutation of the population (its first three members other than
+the row are the donors a, b, c), then ``d`` crossover uniforms, then the
+forced coordinate. Only these draws run per row; the mutation, reflection
+and crossover are whole-population array operations, elementwise, so a
+trial's bits do not depend on how the rows are batched.
+
 The objective scores a whole population at once, ``(P, d) -> (P,)``: one
 ``model.rates`` call and one elementwise range check cover every candidate,
 one batched exact propagation solves the valid ones on the dataset's time
@@ -118,7 +125,12 @@ def differential_evolution(objective, bounds, cfg: DEConfig = DEConfig()):
     """rand/1/bin DE over a box; returns (best point, best value,
     generations used). ``objective`` scores a whole population, mapping
     ``(P, d)`` to ``(P,)``. Deterministic under seed; best objective is
-    non-increasing across generations."""
+    non-increasing across generations.
+
+    Per row and generation the random stream gives, in this order, the
+    permutation that picks the donors, the ``d`` uniforms compared with CR
+    and the forced coordinate; the trial population is then built in one
+    array pass."""
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
     if not (lo.size and np.isfinite([lo, hi]).all() and np.all(lo < hi)):
@@ -136,14 +148,18 @@ def differential_evolution(objective, bounds, cfg: DEConfig = DEConfig()):
     gen = 0
     for gen in range(1, cfg.generations + 1):
         prev_best = best_f
-        trials = np.empty_like(pop)
+        donors = np.empty((npop, 3), dtype=np.intp)
+        cross = np.empty((npop, dim), dtype=bool)
         for i in range(npop):
-            choices = [j for j in (rng.permutation(npop)) if j != i][:3]
-            a, b, c = pop[choices[0]], pop[choices[1]], pop[choices[2]]
-            mutant = _reflect(a + MUTATION * (b - c), lo, hi)
-            cross = rng.uniform(size=dim) < CROSSOVER
-            cross[rng.integers(dim)] = True
-            trials[i] = np.where(cross, mutant, pop[i])
+            # the first three entries that are not i lie in the first four
+            head = rng.permutation(npop)[:4].tolist()
+            if i in head:
+                head.remove(i)
+            donors[i] = head[:3]
+            cross[i] = rng.random(dim) < CROSSOVER
+            cross[i, rng.integers(dim)] = True
+        a, b, c = pop[donors.T]
+        trials = np.where(cross, _reflect(a + MUTATION * (b - c), lo, hi), pop)
         trial_fitness = _score(objective, trials)
         improved = trial_fitness <= fitness
         pop[improved] = trials[improved]

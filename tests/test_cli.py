@@ -98,6 +98,15 @@ def test_repeated_free_name_is_an_error(dataset_dir, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["train", "fit-de"])
+def test_unknown_free_name_is_an_error(dataset_dir, tmp_path, command):
+    with pytest.raises(SystemExit, match=r"^error: --free names unknown "
+                                         r"parameter\(s\): bogus, zeta$"):
+        main([*COMMANDS[command], "--data", str(dataset_dir / "dataset.csv"),
+              "--free", "zeta,Vbb,bogus", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "fit-de"])
 def test_infinite_box_is_an_error(dataset_dir, tmp_path, command):
     with pytest.raises(SystemExit, match=r"^error: --bounds-scale 0\.5,inf: "
                                          "Vbb: bounds must be finite"):
@@ -198,11 +207,6 @@ class TestTrain:
                   "--neurons", "4", "--iters", "1", "--lbfgs-iters", "0",
                   "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
-
-    def test_unknown_free_name_rejected(self, dataset_dir, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["train", "--data", str(dataset_dir / "dataset.csv"),
-                  "--free", "bogus", "--out", str(tmp_path)])
 
     def test_missing_data_file(self, tmp_path):
         with pytest.raises(SystemExit):

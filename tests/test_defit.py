@@ -102,6 +102,94 @@ class TestDifferentialEvolution:
                                    [(-1, 1)] * 2, DEConfig(generations=1))
 
 
+def _row_loop_de(objective, bounds, cfg):
+    """Independent oracle of ``differential_evolution``: rand/1/bin with
+    the mutation and crossover done one row at a time. Also returns how
+    many mutant coordinates left the box and were reflected."""
+    lo, hi = (np.array(side, dtype=float) for side in zip(*bounds))
+    dim = lo.size
+    npop = cfg.population or 10 * dim
+    rng = np.random.default_rng(cfg.seed)
+    pop = lo + rng.uniform(size=(npop, dim)) * (hi - lo)
+    fitness = objective(pop)
+    best_idx = int(np.argmin(fitness))
+    best_x, best_f = pop[best_idx].copy(), float(fitness[best_idx])
+    stagnant = gen = reflected = 0
+    for gen in range(1, cfg.generations + 1):
+        prev_best = best_f
+        trials = np.empty_like(pop)
+        for i in range(npop):
+            choices = [j for j in rng.permutation(npop) if j != i][:3]
+            a, b, c = pop[choices[0]], pop[choices[1]], pop[choices[2]]
+            raw = a + defit.MUTATION * (b - c)
+            reflected += int(np.count_nonzero((raw < lo) | (raw > hi)))
+            mutant = _reflect(raw, lo, hi)
+            cross = rng.uniform(size=dim) < defit.CROSSOVER
+            cross[rng.integers(dim)] = True
+            trials[i] = np.where(cross, mutant, pop[i])
+        trial_fitness = objective(trials)
+        improved = trial_fitness <= fitness
+        pop[improved] = trials[improved]
+        fitness[improved] = trial_fitness[improved]
+        gen_best = int(np.argmin(fitness))
+        if fitness[gen_best] < best_f:
+            best_f = float(fitness[gen_best])
+            best_x = pop[gen_best].copy()
+        stagnant = (stagnant + 1 if prev_best - best_f <= defit.STAGNATION_TOL
+                    else 0)
+        if stagnant >= cfg.stagnation_window:
+            break
+    return best_x, best_f, gen, reflected
+
+
+class TestDrawOrder:
+    """``differential_evolution`` draws, per row, the same random numbers
+    in the same order as the row-at-a-time oracle, so every population it
+    scores and every result keep every bit."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("dim", [1, 2, 6])
+    @pytest.mark.parametrize("npop", [4, 5, 60])
+    def test_matches_row_loop_oracle(self, npop, dim, seed):
+        # a narrow box with its optimum beyond the upper corner: the
+        # population presses against a wall and mutants leave the box
+        bounds = [(0.1 * k, 0.1 * k + 1e-3 * (k + 1)) for k in range(dim)]
+        target = np.array([hi for _, hi in bounds]) + 0.05
+
+        def recorder(seen):
+            def objective(X):
+                seen.append(np.array(X))
+                return np.sum((X - target) ** 2, axis=1)
+            return objective
+
+        cfg = DEConfig(population=npop, generations=25, stagnation_window=8,
+                       seed=seed)
+        got_seen, want_seen = [], []
+        best_x, best_f, gens = differential_evolution(recorder(got_seen),
+                                                      bounds, cfg)
+        *want, reflected = _row_loop_de(recorder(want_seen), bounds, cfg)
+        assert reflected > 0
+        assert len(got_seen) == len(want_seen) == gens + 1
+        for got, expected in zip(got_seen, want_seen):
+            assert np.array_equal(got, expected)
+        assert np.array_equal(best_x, want[0])
+        assert best_f == want[1] and gens == want[2]
+
+
+def test_reference_fit_digits():
+    """The benchmark's reference DE operation: the 200-point reference set,
+    seed 1, population 60, 3 generations; every bit of the fit is pinned."""
+    ds = synthesize_dataset(SYS, DRUG, n_points=200)
+    res = fit_de(ds, default_estimation_spec(),
+                 DEConfig(population=60, generations=3, seed=1))
+    assert res.generations == 3
+    assert res.objective.hex() == "0x1.cdb8b4745f174p-14"
+    assert [float(v).hex() for v in res.values] == [
+        "0x1.7bd0713d598bap-4", "0x1.e769801261396p+0",
+        "0x1.1f863755076c1p-4", "0x1.1d7e2950ce264p-5",
+        "0x1.04d4a24515cbap-3", "0x1.8edea8f59e71cp-6"]
+
+
 class TestSseObjective:
     def test_zero_at_truth(self):
         ds = synthesize_dataset(SYS, DRUG, n_points=40)
