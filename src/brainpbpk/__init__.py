@@ -4,8 +4,8 @@ and differential-evolution parameter estimation."""
 from .params import DrugParams, ModelVariant, SystemParams
 from .dataio import ConcentrationSeries, PlasmaProfile
 from .model import assemble_matrix
-from .solvers import (InitialState, Method, PlasmaSpec, SolveConfig,
-                      expm_propagate, solve, synthesize_dataset)
+from .solvers import (InitialState, Method, SolveConfig, expm_propagate,
+                      plasma_input, solve, synthesize_dataset)
 from .training import (BoundedParam, EstimationSpec, LossWeights, TrainConfig,
                        default_estimation_spec, train)
 from .defit import DEConfig, differential_evolution, fit_de
@@ -14,8 +14,8 @@ __all__ = [
     "DrugParams", "SystemParams", "ModelVariant",
     "ConcentrationSeries", "PlasmaProfile",
     "assemble_matrix",
-    "InitialState", "Method", "PlasmaSpec", "SolveConfig",
-    "expm_propagate", "solve", "synthesize_dataset",
+    "InitialState", "Method", "SolveConfig",
+    "expm_propagate", "plasma_input", "solve", "synthesize_dataset",
     "BoundedParam", "EstimationSpec", "LossWeights", "TrainConfig",
     "default_estimation_spec", "train",
     "DEConfig", "differential_evolution", "fit_de",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import dataclasses
 import json
 import sys
 import time
@@ -32,8 +31,8 @@ from .metrics import summarize
 from .model import COMPARTMENTS
 from .params import (ALL_PARAM_NAMES, DrugParams, ModelVariant, SystemParams,
                      reference_value, substitute)
-from .solvers import (InitialState, PlasmaSpec, SolveConfig, SolverError, solve,
-                      synthesize_dataset)
+from .solvers import (PLASMA_INPUT, InitialState, SolveConfig, SolverError,
+                      solve, synthesize_dataset)
 from .training import (DEFAULT_FREE, EstimationSpec, LossWeights, TrainConfig,
                        TrainingDiverged, default_estimation_spec, train)
 
@@ -154,7 +153,7 @@ def cmd_simulate(args) -> int:
         "horizon": args.horizon,
         "noise_sd": args.noise_sd,
         "seed": args.seed,
-        "plasma": dataclasses.asdict(PlasmaSpec()),
+        "plasma": PLASMA_INPUT,
         "variant": ModelVariant.PAPER_LITERAL.value,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
@@ -166,13 +165,13 @@ def cmd_simulate(args) -> int:
 
 # -- train -------------------------------------------------------------------
 
-def _write_summary(out: Path, label: str, names, values, abs_errors,
+def _write_summary(out: Path, label: str, values: dict, abs_errors: dict,
                    objective: float, prediction: str) -> None:
     summary = {
         "label": label,
-        "free": list(names),
-        "values": {n: v for n, v in zip(names, values)},
-        "abs_errors": {n: e for n, e in zip(names, abs_errors) if e is not None},
+        "free": list(values),
+        "values": values,
+        "abs_errors": abs_errors,
         "objective": objective,
         "prediction": prediction,
     }
@@ -217,10 +216,9 @@ def cmd_train(args) -> int:
                  out / "prediction.csv")
 
     values = final_spec.constrained_values()
-    errors = [abs(reference[n] - values[n]) for n in final_spec.names]
-    _write_summary(out, "PINN", final_spec.names,
-                   [values[n] for n in final_spec.names], errors,
-                   artifacts.loss_total[-1], "prediction.csv")
+    errors = {n: abs(reference[n] - v) for n, v in values.items()}
+    _write_summary(out, "PINN", values, errors, artifacts.loss_total[-1],
+                   "prediction.csv")
     for name, value in values.items():
         print(f"{name}: {value:.9g} (reference {reference[name]:.9g})")
     if args.lbfgs_iters > 0:
@@ -246,15 +244,15 @@ def cmd_fit_de(args) -> int:
     dataset = _read_dataset(args.data, need_plasma=True)
     reference = _reference_from_manifest(args.data, spec.names)
     out = _outdir(args.out)
-    result = fit_de(dataset, spec, cfg, reference=reference)
+    result = fit_de(dataset, spec, cfg)
+    values = dict(zip(result.names, result.values))
+    errors = {n: abs(reference[n] - v) for n, v in values.items()}
     write_rows(out / "de_result.csv",
                ["parameter", "value", "abs_error", "objective"],
-               [[name, value, err, result.objective if i == 0 else None]
-                for i, (name, value, err) in enumerate(
-                    zip(result.names, result.values, result.abs_errors))])
+               [[n, v, errors[n], result.objective if i == 0 else None]
+                for i, (n, v) in enumerate(values.items())])
 
-    sys_c, drug_c = substitute(spec.base_sys, spec.base_drug,
-                               dict(zip(result.names, result.values)))
+    sys_c, drug_c = substitute(spec.base_sys, spec.base_drug, values)
     try:
         pred = solve(sys_c, drug_c, dataset.plasma_profile(),
                      ModelVariant.PAPER_LITERAL, InitialState(),
@@ -262,11 +260,10 @@ def cmd_fit_de(args) -> int:
     except SolverError as err:
         raise SystemExit(f"error: {err}") from None
     write_series(pred, out / "prediction.csv")
-    _write_summary(out, "DE", result.names, list(result.values),
-                   result.abs_errors, result.objective, "prediction.csv")
-    for name, value, err in zip(result.names, result.values, result.abs_errors):
-        extra = f" (abs error {err:.3e})" if err is not None else ""
-        print(f"{name}: {value:.9g}{extra}")
+    _write_summary(out, "DE", values, errors, result.objective,
+                   "prediction.csv")
+    for name, value in values.items():
+        print(f"{name}: {value:.9g} (abs error {errors[name]:.3e})")
     print(f"objective: {result.objective:.6e}, generations: "
           f"{result.generations} (stopped on {result.stop_reason}), "
           f"inf candidates: {result.inf_candidates}, "
@@ -391,7 +388,7 @@ def cmd_compare(args) -> int:
             labeled.append((s["label"], _read_dataset(pred_path)))
     out = _outdir(args.out)
 
-    names = list(summaries[0][1]["free"])
+    names = list(dict.fromkeys(n for _, s in summaries for n in s["free"]))
     header = ["parameter", "reference"] + [
         h for _, s in summaries for h in (s["label"], f"|{s['label']}_err|")]
     write_rows(out / "compare.csv", header,

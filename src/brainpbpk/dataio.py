@@ -41,6 +41,10 @@ class MissingColumn(DataIOError):
         super().__init__(f"missing required column: {column}")
 
 
+class DuplicateColumn(DataIOError):
+    pass
+
+
 class NonMonotonicTime(DataIOError):
     def __init__(self, row: int):
         self.row = row
@@ -199,19 +203,21 @@ _BLANK_ROW = re.compile(r'[\s,"]*')
 
 
 def read_series(path) -> ConcentrationSeries:
-    """Parse the data CSV; header names are matched case-insensitively,
-    rows of only whitespace, commas and quotes are skipped and extra
-    columns ignored."""
+    """Parse the data CSV; header names are matched case-insensitively and
+    a column read twice is an error, rows of only whitespace, commas and
+    quotes are skipped and extra columns ignored."""
     with open(path, encoding="utf-8-sig") as fh:
         header = next(csv.reader([fh.readline()]))
         rows = list(filterfalse(_BLANK_ROW.fullmatch, fh))
-    lookup = {h.strip().lower(): i for i, h in enumerate(header)}
-    has_plasma = "cplasma" in lookup
+    keys = [h.strip().lower() for h in header]
+    has_plasma = "cplasma" in keys
     names = _REQUIRED + ("Cplasma",) * has_plasma
     for name in names:
-        if name.lower() not in lookup:
+        if name.lower() not in keys:
             raise MissingColumn(name)
-    indices = [lookup[name.lower()] for name in names]
+        if keys.count(name.lower()) > 1:
+            raise DuplicateColumn(f"column {name} appears more than once")
+    indices = [keys.index(name.lower()) for name in names]
     try:
         # no rows: loadtxt would warn "input contained no data"
         table = _parse(rows, indices).T if rows else np.empty((len(names), 0))

@@ -3,6 +3,9 @@
 Classic rand/1/bin: mutant v = a + F*(b - c) over three distinct random
 members, binomial crossover with a guaranteed mutated coordinate, greedy
 selection. Out-of-bounds coordinates are reflected back into the box.
+``fit_de`` returns the best values, their objective and why the run
+stopped; how far the values land from the true parameters is the caller's
+to judge, as the CLI does for both engines.
 
 Seed contract: after the initial population, each generation draws, row by
 row, a permutation of the population (its first three members other than
@@ -27,7 +30,7 @@ import numpy as np
 
 from .dataio import ConcentrationSeries
 from .model import rates
-from .params import in_range, reference_value, substitute
+from .params import in_range, substitute
 from .solvers import propagate_states
 from .training import EstimationSpec
 
@@ -59,7 +62,6 @@ class DEConfig:
 class EstimationResult:
     names: list[str]
     values: np.ndarray
-    abs_errors: list[float | None]
     objective: float
     wall_seconds: float
     generations: int = 0
@@ -175,10 +177,9 @@ def differential_evolution(objective, bounds, cfg: DEConfig = DEConfig()):
 
 
 def fit_de(dataset: ConcentrationSeries, spec: EstimationSpec,
-           cfg: DEConfig = DEConfig(),
-           reference: dict | None = None) -> EstimationResult:
-    """DE fit of the free parameters; absolute errors are reported against
-    the built-in reference values (or an explicit reference mapping)."""
+           cfg: DEConfig = DEConfig()) -> EstimationResult:
+    """DE fit of the free parameters to the dataset: the best values, their
+    objective and how the run stopped; the caller grades the values."""
     t0 = time.perf_counter()
     plasma = dataset.plasma_profile()
     bounds = [(p.lo, p.hi) for p in spec.free]
@@ -191,16 +192,7 @@ def fit_de(dataset: ConcentrationSeries, spec: EstimationSpec,
         return sse
 
     best_x, best_f, gens = differential_evolution(objective, bounds, cfg)
-
-    errors: list[float | None] = []
-    for name, value in zip(spec.names, best_x):
-        if reference is not None:
-            ref = reference.get(name)
-        else:
-            ref = reference_value(name)
-        errors.append(None if ref is None else abs(ref - value))
-    return EstimationResult(names=spec.names, values=best_x,
-                            abs_errors=errors, objective=best_f,
+    return EstimationResult(names=spec.names, values=best_x, objective=best_f,
                             wall_seconds=time.perf_counter() - t0,
                             generations=gens,
                             stop_reason=("stagnation" if gens < cfg.generations

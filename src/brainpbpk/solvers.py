@@ -1,10 +1,13 @@
 """Forward solution of the brain model.
 
 Every route solves Y' = A Y + f Cart(t), with the state matrix A = M / V
-and the forcing vector f = q / V from ``model.rates``. Three routes:
+and the forcing vector f = q / V from ``model.rates``, from the dose at
+t = 0; a grid that starts earlier is a ValueError. Three routes:
 classic fixed-step RK4, adaptive Dormand-Prince 5(4), and an exact
 matrix-exponential propagator that exploits the linearity of the system
-with piecewise-linear forcing (used as the ground-truth oracle).
+with piecewise-linear forcing (used as the ground-truth oracle). The
+synthetic datasets are driven by ``plasma_input``, the curve that
+``PLASMA_INPUT`` fixes.
 
 The exact propagator has one implementation, ``propagate_states``, which
 works on a stack of rate matrices at once, so the DE objective scores a
@@ -69,7 +72,6 @@ class SolveConfig:
 @dataclass(frozen=True)
 class InitialState:
     Y0: np.ndarray = field(default_factory=lambda: np.zeros(4))
-    t0: float = 0.0
 
     def __post_init__(self):
         y = np.asarray(self.Y0, dtype=float)
@@ -80,11 +82,11 @@ class InitialState:
 
 # --- generic integrators ----------------------------------------------------
 
-def rk4_solve(f, y0, t0: float, grid, h: float) -> np.ndarray:
-    """Classic 4-stage RK with fixed step h, landing exactly on grid points."""
+def rk4_solve(f, y0, grid, h: float) -> np.ndarray:
+    """Classic 4-stage RK from t = 0, fixed step h, landing on grid points."""
     grid = np.asarray(grid, dtype=float)
     y = np.asarray(y0, dtype=float).copy()
-    t = t0
+    t = 0.0
     out = np.empty((grid.size,) + y.shape)
     for i, tg in enumerate(grid):
         while t < tg - 1e-14:
@@ -119,13 +121,13 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 _MIN_STEP = 1e-12
 
 
-def dopri45_solve(f, y0, t0: float, grid, rtol: float, atol: float) -> np.ndarray:
-    """Embedded 5(4) pair with step rejection; steps are clipped to land on
-    each output grid point."""
+def dopri45_solve(f, y0, grid, rtol: float, atol: float) -> np.ndarray:
+    """Embedded 5(4) pair from t = 0 with step rejection; steps are clipped
+    to land on each output grid point."""
     grid = np.asarray(grid, dtype=float)
     y = np.asarray(y0, dtype=float).copy()
-    t = t0
-    h = min(1e-4, (grid[-1] - t0) / 10 if grid[-1] > t0 else 1e-4)
+    t = 0.0
+    h = min(1e-4, grid[-1] / 10)  # no step is taken unless grid[-1] > 0
     out = np.empty((grid.size,) + y.shape)
     ks = [None] * 7
     for i, tg in enumerate(grid):
@@ -163,21 +165,21 @@ def solve(sys: SystemParams, drug: DrugParams, plasma: PlasmaProfile,
     ``variant`` names the sign convention; ``ModelVariant`` has one member,
     ``PAPER_LITERAL``."""
     grid = cfg.grid
-    if grid[0] < init.t0 - 1e-12:
-        raise ValueError("output grid must start at or after t0")
     M, q, V = rates(sys, drug)
     A, forcing = M / V[:, None], q / V
 
     if cfg.method is Method.EXPM_ORACLE:
-        return expm_propagate(A, forcing, init.Y0, plasma, grid, t0=init.t0)
+        return expm_propagate(A, forcing, init.Y0, plasma, grid)
+    if grid[0] < -1e-12:
+        raise ValueError("output grid must start at or after the dose at t=0")
 
     def f(t, y):
         return A @ y + linear_interp(plasma, t) * forcing
 
     if cfg.method is Method.RK4:
-        states = rk4_solve(f, init.Y0, init.t0, grid, cfg.h)
+        states = rk4_solve(f, init.Y0, grid, cfg.h)
     else:
-        states = dopri45_solve(f, init.Y0, init.t0, grid, cfg.rtol, cfg.atol)
+        states = dopri45_solve(f, init.Y0, grid, cfg.rtol, cfg.atol)
     return ConcentrationSeries(grid, states.T, linear_interp(plasma, grid))
 
 
@@ -243,16 +245,15 @@ def _transition_ops(A: np.ndarray, f: np.ndarray, dts: np.ndarray):
             np.swapaxes(E[..., :4, 4], -1, -2), np.swapaxes(E[..., :4, 5], -1, -2))
 
 
-def propagate_states(A, f, y0, plasma: PlasmaProfile, grid,
-                     t0: float = 0.0) -> np.ndarray:
+def propagate_states(A, f, y0, plasma: PlasmaProfile, grid) -> np.ndarray:
     """Exact propagation of Y' = A Y + f Cart(t) for a stack of systems.
 
     ``A`` is ``(..., 4, 4)`` and ``f`` the matching ``(..., 4)`` forcing
-    vectors; every system starts from ``y0``. Returns the states on the
-    grid as ``(..., 4, len(grid))``, the layout of
+    vectors; every system starts from ``y0`` at the dose, t = 0. Returns
+    the states on the grid as ``(..., 4, len(grid))``, the layout of
     ``ConcentrationSeries.concentrations``. A system that blows up yields
     non-finite entries rather than an exception; a grid that starts before
-    ``t0`` raises ValueError.
+    the dose raises ValueError.
 
     Intervals are split at plasma knots so the forcing is affine on each
     piece; column 0 of the breakpoint states holds y0 and column k+1 the
@@ -265,11 +266,11 @@ def propagate_states(A, f, y0, plasma: PlasmaProfile, grid,
     step length (to 14 decimals) and that recurrence over the breakpoints.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid[0] < t0 - 1e-12:
-        raise ValueError("output grid must start at or after t0")
+    if grid[0] < -1e-12:
+        raise ValueError("output grid must start at or after the dose at t=0")
     A, f = np.asarray(A, dtype=float), np.asarray(f, dtype=float)
-    knots = plasma.times[(plasma.times > t0) & (plasma.times < grid[-1])]
-    breakpoints = np.unique(np.concatenate([[t0], grid, knots]))
+    knots = plasma.times[(plasma.times > 0) & (plasma.times < grid[-1])]
+    breakpoints = np.unique(np.concatenate([[0.0], grid, knots]))
     dts = np.diff(breakpoints)
     cart = np.interp(breakpoints, plasma.times, plasma.values)
     c0, c1 = cart[:-1], np.diff(cart) / dts
@@ -299,14 +300,14 @@ def propagate_states(A, f, y0, plasma: PlasmaProfile, grid,
 
 
 def expm_propagate(A: np.ndarray, f: np.ndarray, y0, plasma: PlasmaProfile,
-                   grid, t0: float = 0.0) -> ConcentrationSeries:
+                   grid) -> ConcentrationSeries:
     """``propagate_states`` for one state matrix ``A (4, 4)`` and forcing
     vector ``f (4,)``, as a series; raises NonFiniteState at the first grid
     time where the state is not finite."""
     grid = np.asarray(grid, dtype=float)
     # the gathered grid states are time-major in memory; the C-order copy
     # that the series keeps lets the check below reduce whole rows
-    states = np.ascontiguousarray(propagate_states(A, f, y0, plasma, grid, t0))
+    states = np.ascontiguousarray(propagate_states(A, f, y0, plasma, grid))
     bad = ~np.all(np.isfinite(states), axis=0)
     if bad.any():
         raise NonFiniteState(f"non-finite state at t={grid[np.argmax(bad)]:.6g}")
@@ -315,32 +316,25 @@ def expm_propagate(A: np.ndarray, f: np.ndarray, y0, plasma: PlasmaProfile,
 
 # --- synthetic datasets -----------------------------------------------------
 
-@dataclass(frozen=True)
-class PlasmaSpec:
-    """First-order absorption/elimination arterial profile
-    Cart(t) = D (e^{-ke t} - e^{-ka t}), with D scaled to the given peak."""
+# the arterial plasma input of the dose: Cart(t) = D (e^{-ke t} - e^{-ka t})
+PLASMA_INPUT = {"ka": 1.0, "ke": 0.1, "peak": 0.06}
 
-    ka: float = 1.0
-    ke: float = 0.1
-    peak: float = 0.06
 
-    def sample(self, times) -> PlasmaProfile:
-        times = np.asarray(times, dtype=float)
-        if self.peak == 0.0:
-            return PlasmaProfile(times, np.zeros_like(times))
-        tmax = math.log(self.ka / self.ke) / (self.ka - self.ke)
-        unit_peak = math.exp(-self.ke * tmax) - math.exp(-self.ka * tmax)
-        D = self.peak / unit_peak
-        vals = D * (np.exp(-self.ke * times) - np.exp(-self.ka * times))
-        return PlasmaProfile(times, np.maximum(vals, 0.0))
+def plasma_input(times) -> PlasmaProfile:
+    """``PLASMA_INPUT``'s curve at ``times``, with D scaled to the peak."""
+    times = np.asarray(times, dtype=float)
+    ka, ke, peak = (PLASMA_INPUT[k] for k in ("ka", "ke", "peak"))
+    tmax = math.log(ka / ke) / (ka - ke)
+    D = peak / (math.exp(-ke * tmax) - math.exp(-ka * tmax))
+    vals = D * (np.exp(-ke * times) - np.exp(-ka * times))
+    return PlasmaProfile(times, np.maximum(vals, 0.0))
 
 
 def synthesize_dataset(sys: SystemParams, drug: DrugParams,
-                       plasma_spec: PlasmaSpec = PlasmaSpec(),
                        n_points: int = 200, horizon: float = 48.0,
                        noise_sd: float = 0.0, seed: int = 0) -> ConcentrationSeries:
-    """Exact forward solve on a uniform grid from zero initial state, with
-    optional zero-truncated Gaussian noise; plasma column embedded."""
+    """Exact forward solve of ``plasma_input`` on a uniform grid from zero
+    state, with optional zero-truncated Gaussian noise; plasma embedded."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     if not 0 < horizon < math.inf:
@@ -351,7 +345,7 @@ def synthesize_dataset(sys: SystemParams, drug: DrugParams,
         raise ValueError("seed must be non-negative")
 
     grid = np.linspace(0.0, horizon, n_points)
-    plasma = plasma_spec.sample(grid)
+    plasma = plasma_input(grid)
     series = solve(sys, drug, plasma, ModelVariant.PAPER_LITERAL,
                    InitialState(), SolveConfig(grid=grid))
     if noise_sd == 0.0:

@@ -123,6 +123,7 @@ class TestSimulate:
         manifest = json.loads((dataset_dir / "manifest.json").read_text())
         assert manifest["parameters"]["Vbb"] == 0.064952435
         assert manifest["points"] == 40
+        assert manifest["plasma"] == {"ka": 1.0, "ke": 0.1, "peak": 0.06}
 
     def test_deterministic(self, dataset_dir, tmp_path):
         assert main(["simulate", "--points", "40", "--horizon", "48",
@@ -418,8 +419,9 @@ class TestCompare:
                 "label": label, "free": list(values), "values": values,
                 "abs_errors": {}, "prediction": "none.csv"}))
             paths.append(str(path))
-        assert main(["compare", "--results", *paths,
-                     "--out", str(tmp_path / "cmp")]) == 0
+        for order, out in ((paths, "cmp"), (paths[::-1], "cmp-reversed")):
+            assert main(["compare", "--results", *order,
+                         "--out", str(tmp_path / out)]) == 0
         text = (tmp_path / "cmp" / "compare.csv").read_text(encoding="utf-8")
         assert text.startswith(
             'parameter,reference,"a, ""b""","|a, ""b""_err|",c,|c_err|\n')
@@ -431,6 +433,17 @@ class TestCompare:
                            "0.059999999999999998", "", "0.070000000000000007",
                            ""]
         assert rows[2] == ["fubb", "0.125", "0.10000000000000001", "", "", ""]
+        # the rows are every summary's free names in first-seen order, so
+        # fubb stays when the summary without it comes first
+        with open(tmp_path / "cmp-reversed" / "compare.csv", newline="",
+                  encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [
+            ["parameter", "reference", "c", "|c_err|", 'a, "b"',
+             '|a, "b"_err|'],
+            ["Vbb", "0.064952435000000003", "0.070000000000000007", "",
+             "0.059999999999999998", ""],
+            ["fubb", "0.125", "", "", "0.10000000000000001", ""]]
 
     def test_incomplete_summary_is_an_error(self, dataset_dir, tmp_path):
         good = tmp_path / "good"

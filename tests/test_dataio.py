@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brainpbpk.dataio import (ConcentrationSeries, EmptyPlot, MissingColumn,
-                              NonMonotonicTime, NonNumericCell, PlasmaProfile,
-                              RunArtifacts, emit_plot, linear_interp,
-                              read_series, write_rows, write_series)
+from brainpbpk.dataio import (ConcentrationSeries, DuplicateColumn, EmptyPlot,
+                              MissingColumn, NonMonotonicTime, NonNumericCell,
+                              PlasmaProfile, RunArtifacts, emit_plot,
+                              linear_interp, read_series, write_rows,
+                              write_series)
 from brainpbpk.model import COMPARTMENTS
 from brainpbpk.params import DrugParams, SystemParams
 from brainpbpk.solvers import synthesize_dataset
@@ -101,6 +102,25 @@ class TestReadWrite:
         assert np.array_equal(s.times, [0.0, 1.0]) and s.plasma is None
         assert np.array_equal(s.concentrations(),
                               [[1.0, 5.0], [2.0, 6.0], [3.0, 7.0], [4.0, 8.0]])
+
+    @pytest.mark.parametrize("header,column", [
+        ("Time,Cbb,Cbm,Cccsf,Cscsf,cbb", "Cbb"),
+        ("time,Cbb,Cbm,Cccsf,Cscsf,TIME", "Time"),
+        ("Time,Cbb,Cbm,Cccsf,Cscsf,Cplasma, cplasma ", "Cplasma")])
+    def test_repeated_column_is_an_error(self, tmp_path, header, column):
+        # matched case-insensitively, a second copy of a column that is
+        # read would leave it unclear which one counts
+        path = tmp_path / "d.csv"
+        path.write_text(header + "\n"
+                        + ",".join(["0"] * (header.count(",") + 1)) + "\n")
+        with pytest.raises(DuplicateColumn,
+                           match=f"^column {column} appears more than once$"):
+            read_series(path)
+
+    def test_repeated_extra_column_is_ignored(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("Note,Time,Cbb,Cbm,Cccsf,Cscsf,note\nx,0,1,2,3,4,y\n")
+        assert read_series(path).column("Cbb")[0] == 1.0
 
     def test_header_case_insensitive(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -11,9 +11,9 @@ from brainpbpk.dataio import PlasmaProfile
 from brainpbpk.defit import population_sse
 from brainpbpk.model import assemble_matrix
 from brainpbpk.params import DrugParams, ModelVariant, SystemParams
-from brainpbpk.solvers import (InitialState, Method, NonFiniteState,
-                               PlasmaSpec, SolveConfig, StepSizeUnderflow,
-                               dopri45_solve, expm_propagate,
+from brainpbpk.solvers import (PLASMA_INPUT, InitialState, Method,
+                               NonFiniteState, SolveConfig, StepSizeUnderflow,
+                               dopri45_solve, expm_propagate, plasma_input,
                                propagate_states, rk4_solve, solve,
                                synthesize_dataset)
 from brainpbpk.training import default_estimation_spec
@@ -30,24 +30,24 @@ class TestGenericIntegrators:
 
     def test_rk4_exponential_decay(self):
         grid = np.linspace(0.0, 5.0, 11)
-        out = rk4_solve(lambda t, y: -y, np.array([1.0]), 0.0, grid, 0.01)
+        out = rk4_solve(lambda t, y: -y, np.array([1.0]), grid, 0.01)
         assert np.max(np.abs(out[:, 0] - np.exp(-grid))) < 1e-9
 
     def test_rk4_polynomial_exact(self):
         # RK4 integrates quartics in t exactly up to roundoff
         grid = np.array([0.0, 1.0, 2.0])
         out = rk4_solve(lambda t, y: np.array([4 * t ** 3]),
-                        np.array([0.0]), 0.0, grid, 0.25)
+                        np.array([0.0]), grid, 0.25)
         assert np.allclose(out[:, 0], grid ** 4, atol=1e-12)
 
     def test_rk4_lands_on_grid_regardless_of_h(self):
         grid = np.array([0.0, 0.3, 1.0])
-        out = rk4_solve(lambda t, y: -y, np.array([1.0]), 0.0, grid, 0.07)
+        out = rk4_solve(lambda t, y: -y, np.array([1.0]), grid, 0.07)
         assert np.max(np.abs(out[:, 0] - np.exp(-grid))) < 1e-7
 
     def test_dopri_exponential_decay(self):
         grid = np.linspace(0.0, 5.0, 11)
-        out = dopri45_solve(lambda t, y: -y, np.array([1.0]), 0.0, grid,
+        out = dopri45_solve(lambda t, y: -y, np.array([1.0]), grid,
                             rtol=1e-10, atol=1e-12)
         assert np.max(np.abs(out[:, 0] - np.exp(-grid))) < 1e-8
 
@@ -55,13 +55,13 @@ class TestGenericIntegrators:
         def f(t, y):
             return np.array([y[1], -y[0]])
         grid = np.linspace(0.0, 2 * math.pi, 9)
-        out = dopri45_solve(f, np.array([1.0, 0.0]), 0.0, grid,
+        out = dopri45_solve(f, np.array([1.0, 0.0]), grid,
                             rtol=1e-10, atol=1e-12)
         assert np.max(np.abs(out[:, 0] - np.cos(grid))) < 1e-7
 
     def test_rk4_nonfinite_raises(self):
         with pytest.raises(NonFiniteState):
-            rk4_solve(lambda t, y: y ** 2, np.array([1.0]), 0.0,
+            rk4_solve(lambda t, y: y ** 2, np.array([1.0]),
                       np.array([0.0, 10.0]), 0.01)
 
     def test_dopri_underflow_raises(self):
@@ -69,7 +69,7 @@ class TestGenericIntegrators:
         def f(t, y):
             return np.array([1.0 / (1.0 - t)])
         with pytest.raises((StepSizeUnderflow, NonFiniteState)):
-            dopri45_solve(f, np.array([0.0]), 0.0, np.array([0.0, 2.0]),
+            dopri45_solve(f, np.array([0.0]), np.array([0.0, 2.0]),
                           rtol=1e-8, atol=1e-10)
 
 
@@ -135,7 +135,7 @@ class TestExpmPropagate:
 
     def test_grid_before_t0_rejected(self):
         grid = np.linspace(-2.0, 1.0, 4)
-        with pytest.raises(ValueError, match="start at or after t0"):
+        with pytest.raises(ValueError, match="start at or after the dose"):
             expm_propagate(assemble_matrix(SYS, DRUG), FORCING, np.zeros(4),
                            constant_plasma(0.05), grid)
 
@@ -191,7 +191,7 @@ class TestExpm:
         stacks = spy_expm(monkeypatch)
         grid = np.linspace(0.0, 48.0, 200)
         propagate_states(assemble_matrix(SYS, DRUG), FORCING, np.zeros(4),
-                         PlasmaSpec().sample(grid), grid)
+                         plasma_input(grid), grid)
         assert [M.shape for M in stacks] == [(1, 6, 6)]
         assert_matches_scipy(stacks[0])
 
@@ -244,7 +244,7 @@ class TestPropagateStates:
         # a plasma knot inside one step splits it, so the knotted solve
         # takes the per-step loop over the same ODE as the uniform scan
         grid = np.linspace(0.0, 48.0, 200)
-        plasma = PlasmaSpec().sample(grid)
+        plasma = plasma_input(grid)
         rng = np.random.default_rng(7)
         systems = [SYS] if rows is None else [
             SystemParams(Vbb=rng.uniform(0.03, 0.2), Vbm=rng.uniform(0.5, 2.0),
@@ -264,7 +264,7 @@ class TestPropagateStates:
     def test_uniform_grid_one_expm_slice_per_system(self, monkeypatch):
         stacks = spy_expm(monkeypatch)
         grid = np.linspace(0.0, 48.0, 200)
-        plasma = PlasmaSpec().sample(grid)
+        plasma = plasma_input(grid)
         A = assemble_matrix(SYS, DRUG)
         propagate_states(A, FORCING, np.zeros(4), plasma, grid)
         propagate_states(np.stack([A] * 3), np.stack([FORCING] * 3),
@@ -272,15 +272,15 @@ class TestPropagateStates:
         assert [M.shape for M in stacks] == [(1, 6, 6), (3, 1, 6, 6)]
 
     def test_grid_before_t0_rejected(self):
-        grid = np.linspace(0.0, 1.0, 3)
+        grid = np.linspace(-0.5, 1.0, 4)
         A = np.stack([assemble_matrix(SYS, DRUG)] * 2)
-        with pytest.raises(ValueError, match="start at or after t0"):
+        with pytest.raises(ValueError, match="start at or after the dose"):
             propagate_states(A, np.stack([FORCING] * 2), np.zeros(4),
-                             constant_plasma(0.05), grid, t0=0.5)
+                             constant_plasma(0.05), grid)
 
     def test_batched_rows_match_single_solves(self):
         grid = np.linspace(0.0, 48.0, 60)
-        plasma = PlasmaSpec().sample(np.linspace(0.0, 48.0, 25))
+        plasma = plasma_input(np.linspace(0.0, 48.0, 25))
         systems = [SystemParams(Vbb=v) for v in (0.03, SYS.Vbb, 0.2)]
         A = np.stack([assemble_matrix(s, DRUG) for s in systems])
         f = np.array([s.Qbrain / s.Vbb * E1 for s in systems])
@@ -295,7 +295,7 @@ class TestPropagateStates:
     def test_nonuniform_grid_knots_off_grid_match_dopri(self):
         grid = np.array([0.0, 0.05, 0.3, 0.31, 1.7, 2.9, 6.0, 11.5, 24.0,
                          47.2])
-        plasma = PlasmaSpec().sample(np.linspace(0.0, 48.0, 37))
+        plasma = plasma_input(np.linspace(0.0, 48.0, 37))
         exact = solve(SYS, DRUG, plasma, ModelVariant.PAPER_LITERAL,
                       InitialState(), SolveConfig(grid=grid))
         dopri = solve(SYS, DRUG, plasma, ModelVariant.PAPER_LITERAL,
@@ -310,7 +310,7 @@ class TestPropagateStates:
 class TestSolveDispatch:
     def make(self, method, **kw):
         grid = np.linspace(0.0, 48.0, 50)
-        plasma = PlasmaSpec().sample(grid)
+        plasma = plasma_input(grid)
         cfg = SolveConfig(method=method, grid=grid, **kw)
         return solve(SYS, DRUG, plasma, ModelVariant.PAPER_LITERAL,
                      InitialState(), cfg)
@@ -331,12 +331,13 @@ class TestSolveDispatch:
         assert np.max(err) < 1e-6
 
     def test_grid_before_t0_rejected(self):
-        grid = np.linspace(0.0, 1.0, 3)
-        plasma = PlasmaSpec().sample(np.linspace(0, 2, 5))
-        cfg = SolveConfig(grid=grid)
-        with pytest.raises(ValueError):
-            solve(SYS, DRUG, plasma, ModelVariant.PAPER_LITERAL,
-                  InitialState(t0=0.5), cfg)
+        # the exact route checks in propagate_states, the steppers in solve
+        grid = np.linspace(-0.5, 1.0, 4)
+        plasma = plasma_input(np.linspace(0, 2, 5))
+        for method in Method:
+            with pytest.raises(ValueError, match="start at or after the dose"):
+                solve(SYS, DRUG, plasma, ModelVariant.PAPER_LITERAL,
+                      InitialState(), SolveConfig(method=method, grid=grid))
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
@@ -347,21 +348,17 @@ class TestSolveDispatch:
             InitialState(Y0=np.array([0.0, -1.0, 0.0, 0.0]))
 
 
-class TestPlasmaSpec:
+class TestPlasmaInput:
     def test_peak_value_attained(self):
-        spec = PlasmaSpec(ka=1.0, ke=0.1, peak=0.06)
+        assert PLASMA_INPUT == {"ka": 1.0, "ke": 0.1, "peak": 0.06}
         tmax = math.log(1.0 / 0.1) / (1.0 - 0.1)
-        prof = spec.sample(np.array([0.0, tmax, 48.0]))
+        prof = plasma_input(np.array([0.0, tmax, 48.0]))
         assert prof.values[1] == pytest.approx(0.06, rel=1e-12)
         assert np.all(prof.values <= 0.06 + 1e-15)
 
     def test_starts_at_zero(self):
-        prof = PlasmaSpec().sample(np.linspace(0, 48, 10))
+        prof = plasma_input(np.linspace(0, 48, 10))
         assert prof.values[0] == 0.0
-
-    def test_zero_peak_all_zero(self):
-        prof = PlasmaSpec(peak=0.0).sample(np.linspace(0, 48, 10))
-        assert np.all(prof.values == 0.0)
 
 
 class TestSynthesizeDataset:
@@ -415,7 +412,9 @@ def test_expm_matches_dopri_randomized(seed):
     s = SystemParams(Vbb=rng.uniform(0.05, 0.5), Vbm=rng.uniform(0.5, 2.0),
                      Vccsf=rng.uniform(0.05, 0.5), Vscsf=rng.uniform(0.01, 0.1))
     grid = np.linspace(0.0, 10.0, 12)
-    plasma = PlasmaSpec(peak=rng.uniform(0.01, 0.1)).sample(grid)
+    # the dose's curve at a random peak in [0.01, 0.1]
+    scale = rng.uniform(0.01, 0.1) / PLASMA_INPUT["peak"]
+    plasma = PlasmaProfile(grid, plasma_input(grid).values * scale)
     cfg_e = SolveConfig(method=Method.EXPM_ORACLE, grid=grid)
     cfg_d = SolveConfig(method=Method.DOPRI45, rtol=1e-9, atol=1e-13, grid=grid)
     a = solve(s, DRUG, plasma, ModelVariant.PAPER_LITERAL, InitialState(), cfg_e)
