@@ -19,7 +19,10 @@ exponential. On a uniform grid (every ``np.linspace`` grid) there is one
 step length, so one 6x6 exponential per matrix, and the states are found
 by a doubling scan in ceil(log2 n) array operations. Any other grid, e.g.
 data sampled at irregular times, takes a recurrence over the breakpoints,
-which also serves as the test oracle of the scan.
+which also serves as the test oracle of the scan. Forcing sampled on a
+grid that starts at the dose (every caller in the package: the synthetic
+sets and each dataset's own plasma column) uses that grid as the
+breakpoints; only plasma knots off the grid are merged into it.
 """
 from __future__ import annotations
 
@@ -255,24 +258,34 @@ def propagate_states(A, f, y0, plasma: PlasmaProfile, grid) -> np.ndarray:
     non-finite entries rather than an exception; a grid that starts before
     the dose raises ValueError.
 
-    Intervals are split at plasma knots so the forcing is affine on each
-    piece; column 0 of the breakpoint states holds y0 and column k+1 the
-    drive c0*Psi0 + c1*Psi1 of step k (see ``_transition_ops``), to which
-    Phi times column k is then added. A uniform grid (every step equal to
-    within a few ulps of its largest time, as ``np.linspace`` makes them)
-    needs one operator per matrix, and ceil(log2 n) doubling levels
-    ``v[k] += P v[k - s]; P = P @ P`` (a Hillis-Steele scan) replace the
-    per-step recurrence. Any other grid takes one operator per distinct
-    step length (to 14 decimals) and that recurrence over the breakpoints.
+    The breakpoints are the grid itself when the grid starts at t = 0 and
+    ``plasma.times`` equals it: the samples are then the forcing and the
+    breakpoint states are returned as computed. Otherwise t = 0, the grid
+    and the plasma knots inside it are merged and sorted, the plasma is
+    interpolated there and the grid states are gathered back. Either way
+    the forcing is affine between breakpoints; column 0 of the breakpoint
+    states holds y0 and column k+1 the drive c0*Psi0 + c1*Psi1 of step k
+    (see ``_transition_ops``), to which Phi times column k is then added.
+    A uniform grid (every step equal to within a few ulps of its largest
+    time, as ``np.linspace`` makes them) needs one operator per matrix,
+    and ceil(log2 n) doubling levels ``v[k] += P v[k - s]; P = P @ P`` (a
+    Hillis-Steele scan) replace the per-step recurrence; the drive's
+    second term and each level's product go through one preallocated
+    workspace. Any other grid takes one operator per distinct step length
+    (to 14 decimals) and that recurrence over the breakpoints.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] < -1e-12:
         raise ValueError("output grid must start at or after the dose at t=0")
     A, f = np.asarray(A, dtype=float), np.asarray(f, dtype=float)
-    knots = plasma.times[(plasma.times > 0) & (plasma.times < grid[-1])]
-    breakpoints = np.unique(np.concatenate([[0.0], grid, knots]))
+    on_grid = grid[0] == 0 and np.array_equal(plasma.times, grid)
+    if on_grid:  # the grid is the breakpoint set, the samples the forcing
+        breakpoints, cart = grid, plasma.values
+    else:
+        knots = plasma.times[(plasma.times > 0) & (plasma.times < grid[-1])]
+        breakpoints = np.unique(np.concatenate([[0.0], grid, knots]))
+        cart = np.interp(breakpoints, plasma.times, plasma.values)
     dts = np.diff(breakpoints)
-    cart = np.interp(breakpoints, plasma.times, plasma.values)
     c0, c1 = cart[:-1], np.diff(cart) / dts
     uniform = dts.size > 0 and (np.ptp(dts) <= 4 * np.finfo(float).eps
                                 * np.max(np.abs(breakpoints[[0, -1]])))
@@ -282,31 +295,37 @@ def propagate_states(A, f, y0, plasma: PlasmaProfile, grid) -> np.ndarray:
         _, first, step_op = np.unique(np.round(dts, 14), return_index=True,
                                       return_inverse=True)
     Phi, Psi0, Psi1 = _transition_ops(A, f, dts[first])
-    states = np.empty(Psi0.shape[:-1] + (breakpoints.size,))
+    n = breakpoints.size
+    states = np.empty(Psi0.shape[:-1] + (n,))
+    work = np.empty(Psi0.shape[:-1] + (n - 1,))
     states[..., 0] = y0
-    states[..., 1:] = c0 * Psi0[..., step_op] + c1 * Psi1[..., step_op]
+    np.multiply(c0, Psi0[..., step_op], out=states[..., 1:])
+    states[..., 1:] += np.multiply(c1, Psi1[..., step_op], out=work)
     with np.errstate(over="ignore", invalid="ignore"):
         if uniform:
             shift, P = 1, Phi[0]
-            while shift < breakpoints.size:
-                states[..., shift:] += P @ states[..., :-shift]
+            while shift < n:
+                states[..., shift:] += np.matmul(P, states[..., :-shift],
+                                                 out=work[..., :n - shift])
                 shift *= 2
-                if shift < breakpoints.size:
+                if shift < n:
                     P = P @ P
         else:
             for k, op in enumerate(step_op.tolist()):
                 states[..., k + 1:k + 2] += Phi[op] @ states[..., k:k + 1]
-    return states[..., np.searchsorted(breakpoints, grid)]
+    return states if on_grid else states[..., np.searchsorted(breakpoints, grid)]
 
 
 def expm_propagate(A: np.ndarray, f: np.ndarray, y0, plasma: PlasmaProfile,
                    grid) -> ConcentrationSeries:
     """``propagate_states`` for one state matrix ``A (4, 4)`` and forcing
     vector ``f (4,)``, as a series; raises NonFiniteState at the first grid
-    time where the state is not finite."""
+    time where the state is not finite. Plasma sampled on the grid is the
+    forcing as it stands; knots off the grid are merged into it."""
     grid = np.asarray(grid, dtype=float)
-    # the gathered grid states are time-major in memory; the C-order copy
-    # that the series keeps lets the check below reduce whole rows
+    # states gathered from merged breakpoints are time-major in memory; the
+    # C-order copy (no copy for on-grid plasma) that the series keeps lets
+    # the check below reduce whole rows
     states = np.ascontiguousarray(propagate_states(A, f, y0, plasma, grid))
     bad = ~np.all(np.isfinite(states), axis=0)
     if bad.any():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from brainpbpk.params import (ALL_PARAM_NAMES, DrugParams, SystemParams,
-                              reference_value, substitute)
-from brainpbpk.solvers import synthesize_dataset
+from brainpbpk.dataio import ConcentrationSeries
+from brainpbpk.params import (ALL_PARAM_NAMES, DrugParams, ModelVariant,
+                              SystemParams, reference_value, substitute)
+from brainpbpk.solvers import (InitialState, Method, SolveConfig, solve,
+                               synthesize_dataset)
 from brainpbpk import defit
 from brainpbpk.defit import (DEConfig, _reflect, differential_evolution,
                              fit_de, population_sse, sse_objective)
@@ -271,6 +273,27 @@ class TestPopulationSse:
                 assert np.isfinite(score), (name, v)
                 assert score == pytest.approx(sse_objective([v], spec, ds),
                                               rel=1e-13, abs=1e-30), (name, v)
+
+    def test_late_start_matches_dopri(self):
+        # without its t = 0 row the set's plasma knots start after the
+        # dose, so the exact solve merges a breakpoint at t = 0 and holds
+        # the plasma at its first sample before the first knot, as
+        # linear_interp does for the adaptive stepper
+        full = synthesize_dataset(SYS, DRUG, n_points=200)
+        ds = ConcentrationSeries(full.times[1:], full.conc[:, 1:],
+                                 full.plasma[1:])
+        spec = default_estimation_spec()
+        truth = np.array([SYS.Vbb, SYS.Vbm, SYS.Vccsf, SYS.Vscsf, DRUG.fubb,
+                          DRUG.lam_ccsf])
+        pop = truth * np.array([[1.0], [1.3], [0.7]])
+        cfg = SolveConfig(method=Method.DOPRI45, rtol=1e-10, atol=1e-14,
+                          grid=ds.times)
+        for row, score in zip(pop, population_sse(pop, spec, ds)):
+            sys, drug = substitute(SYS, DRUG, dict(zip(spec.names, row)))
+            pred = solve(sys, drug, ds.plasma_profile(),
+                         ModelVariant.PAPER_LITERAL, InitialState(), cfg)
+            want = np.sum((pred.concentrations() - ds.concentrations()) ** 2)
+            assert score == pytest.approx(want, rel=1e-8)
 
 
 class TestFitDe:

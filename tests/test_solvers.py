@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -261,6 +262,27 @@ class TestPropagateStates:
         peak = np.max(np.abs(loop), axis=-1, keepdims=True)
         assert np.max(np.abs(scan - loop) / peak) <= 1e-13
 
+    @pytest.mark.parametrize("rows", [None, 60])
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.0, 48.0, 200),
+        np.concatenate([[0.0], np.sort(np.random.default_rng(3).uniform(
+            0.0, 48.0, 150))])], ids=["uniform", "irregular"])
+    def test_on_grid_plasma_matches_merged_knots(self, rows, grid):
+        # a knot past the horizon is dropped by the merge, which then runs
+        # on the grid as its breakpoints: the same arithmetic, every bit
+        plasma = plasma_input(grid)
+        past = plasma_input(np.append(grid, grid[-1] + 1.0))
+        rng = np.random.default_rng(9)
+        A = assemble_matrix(SYS, DRUG)
+        f = FORCING
+        if rows is not None:
+            A = A * rng.uniform(0.5, 2.0, (rows, 1, 1))
+            f = f * rng.uniform(0.5, 2.0, (rows, 1))
+        on_grid = propagate_states(A, f, np.zeros(4), plasma, grid)
+        merged = propagate_states(A, f, np.zeros(4), past, grid)
+        assert on_grid.flags.c_contiguous  # returned as computed, no gather
+        assert np.array_equal(on_grid, merged)
+
     def test_uniform_grid_one_expm_slice_per_system(self, monkeypatch):
         stacks = spy_expm(monkeypatch)
         grid = np.linspace(0.0, 48.0, 200)
@@ -396,6 +418,17 @@ class TestSynthesizeDataset:
                 synthesize_dataset(SYS, DRUG, noise_sd=bad)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             synthesize_dataset(SYS, DRUG, noise_sd=1e-4, seed=-1)
+
+    def test_reference_set_bits(self):
+        # the 200-point reference set that the DE and PINN fits read,
+        # pinned to the bit: SHA-256 of its C-order float64 bytes
+        ds = synthesize_dataset(SYS, DRUG, n_points=200)
+        digests = [hashlib.sha256(a.tobytes()).hexdigest()
+                   for a in (ds.times, ds.concentrations(), ds.plasma)]
+        assert digests == [
+            "fc321fe73ced037db837a05860dd44df68364dbb7e67725f4309512cf9821922",
+            "b09ff0374bd09aa4192abbfc1bc571e91584e610014266af510d2af5cff9d49f",
+            "65a79c193d581879033f84070a029bc81d8ddd6d6c631d0a00a4db8431f9541c"]
 
     def test_concentrations_stay_bounded(self):
         # linear stable system driven by plasma <= peak keeps all
