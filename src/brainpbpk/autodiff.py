@@ -17,12 +17,14 @@ is checked once, on the adjoints of the parentless nodes, and only if that
 check fails is the sweep rerun with every edge checked, to name the node
 that produced the first non-finite adjoint (``NonFiniteGradient.op``).
 
-The tape has no elementwise functions: a network's time derivative comes
-from a forward pass on (value, tangent) pairs of Vars, and ``network``
-records each layer's activation as two nodes with their adjoints written
-out (the value f(z) and the tangent f'(z) zdot). The tangent is recorded
-like any other node, so one reverse sweep differentiates through it,
-giving exact parameter gradients of losses that involve dY/dt.
+The tape has no elementwise functions. A network's Y and dY/dt come from
+one node that ``network.forward_dual_tape`` records for the whole dual
+pass (op ``"network"``): its parents are the weight and bias leaves, and
+its backward closure is the network's reverse pass written out, returning
+one adjoint per parent. The input time is a constant of that node and
+gets no adjoint. The node is swept like any other, so one reverse sweep
+differentiates through dY/dt, giving exact parameter gradients of losses
+that involve it.
 """
 from __future__ import annotations
 

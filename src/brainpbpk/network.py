@@ -4,17 +4,22 @@ The network maps normalized time (shape (1, N)) to the four compartment
 concentrations (shape (4, N)). Hidden layers are affine + activation, the
 output layer is affine. Each activation is written once, in
 ``activation``, as its value and its first two derivatives (computed only
-on request), and both evaluation paths read it:
+on request).
 
-* plain numpy (``forward`` / ``forward_with_time_derivative``) for
-  prediction and testing, and
-* tape-recorded (``forward_dual_tape``) for training, where weights and
-  biases are autodiff ``Var`` leaves and a layer's activation is two
-  nodes: the value f(z), and the tangent f'(z) zdot, whose adjoint to z
-  is where f''(z) enters.
+The dual pass, which carries each layer's value and its time tangent
+(value, d/dt_hat) forward together, is written once, in ``_dual_pass`` on
+plain arrays. Two paths call it:
 
-Both paths compute the same values in the same order, so Y and dY/dt
-agree bit for bit.
+* ``forward_with_time_derivative`` for prediction and testing (``forward``
+  is the value-only pass), and
+* ``forward_dual_tape`` for training, where the whole pass is one autodiff
+  node (op ``"network"``) whose parents are the weight and bias leaves.
+  Its reverse pass is written out layer by layer from what ``_dual_pass``
+  saved, and gives no adjoint to the constant input time.
+
+So Y and dY/dt agree bit for bit between the two paths, and the node's
+parameter adjoints are those of a tape that records every matmul, add and
+activation as its own node.
 
 Training works in scaled coordinates: the trained network sees time in
 hours and emits concentrations divided by each compartment's observed
@@ -95,7 +100,7 @@ def init_network(cfg: NetworkConfig) -> Network:
 def activation(name: str, z: np.ndarray):
     """(f(z), f', f'') of the hidden-layer activation ``name``,
     elementwise. The one place each activation's
-    calculus is written: the numpy passes and the tape read it. f' comes
+    calculus is written: the value-only and the dual pass read it. f' comes
     as a function of no arguments and f'' as a function of f', so each is
     computed only by a pass that needs it."""
     if name == "tanh":
@@ -129,40 +134,70 @@ def forward(net: Network, t_hat) -> np.ndarray:
     return net.weights[-1] @ x + net.biases[-1]
 
 
-def forward_with_time_derivative(net: Network, t_hat):
-    """(Y, dY/dt_hat), both shape (4, N); derivative by dual propagation."""
-    cfg = net.config
+def _dual_pass(name: str, weights, biases, t_hat):
+    """(Y, dY/dt_hat, saved) of the network with activation ``name`` and
+    the layer arrays ``weights``, ``biases`` at the times ``t_hat``, by
+    dual propagation. ``saved`` holds, per hidden layer, what the reverse
+    pass of ``forward_dual_tape`` reads: the layer's output x = f(z) and
+    tangent xdot = f'(z) zdot, the pre-activation tangent zdot, f'(z), and
+    f'' as a function of f'."""
     x = _as_input(t_hat)
     xdot = np.ones_like(x)
-    for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        x, d1, _ = activation(cfg.activation, W @ x + b)
-        xdot = d1() * (W @ xdot)
-    return net.weights[-1] @ x + net.biases[-1], net.weights[-1] @ xdot
+    saved = []
+    for W, b in zip(weights[:-1], biases[:-1]):
+        x, f1, f2 = activation(name, W @ x + b)
+        zdot = W @ xdot
+        d1 = f1()
+        xdot = d1 * zdot
+        saved.append((x, xdot, zdot, d1, f2))
+    return weights[-1] @ x + biases[-1], weights[-1] @ xdot, saved
+
+
+def forward_with_time_derivative(net: Network, t_hat):
+    """(Y, dY/dt_hat), both shape (4, N); derivative by dual propagation."""
+    y, ydot, _ = _dual_pass(net.config.activation, net.weights, net.biases,
+                            t_hat)
+    return y, ydot
 
 
 # -- tape evaluation ---------------------------------------------------------
 
-def _act_tape_dual(name: str, z: Var, zdot: Var):
-    """A layer's activation as two tape nodes with analytic adjoints: the
-    value a = f(z), and the tangent f'(z) zdot, whose adjoints to z and
-    zdot are g f''(z) zdot and g f'(z)."""
-    a, f1, f2 = activation(name, z.value)
-    d1, zd = f1(), zdot.value
-    value = Var(a, (z,), lambda g: (g * d1,), op=name)
-    tangent = Var(d1 * zd, (z, zdot), lambda g: (g * f2(d1) * zd, g * d1),
-                  op=f"{name}-tangent")
-    return value, tangent
-
-
 def forward_dual_tape(cfg: NetworkConfig, weights: list[Var],
                       biases: list[Var], t_hat):
-    """Tape version of the dual forward pass: returns (Y, dY/dt_hat) as Vars
-    so the reverse sweep differentiates through the time derivative."""
-    x = Var(_as_input(t_hat), op="input")
-    xdot = Var(np.ones_like(x.value), op="input-tangent")
-    for W, b in zip(weights[:-1], biases[:-1]):
-        x, xdot = _act_tape_dual(cfg.activation, W @ x + b, W @ xdot)
-    return weights[-1] @ x + biases[-1], weights[-1] @ xdot
+    """Tape version of the dual forward pass: returns (Y, dY/dt_hat) as
+    Vars, so the reverse sweep differentiates through the time derivative.
+
+    Both are views of one node (op ``"network"``) whose value stacks Y
+    over dY/dt_hat, shape (8, N). From the adjoints of a layer's z and
+    zdot, its reverse pass forms gW = g_z x^T + g_zd xdot^T (x, xdot the
+    layer's input) and gb = sum of g_z over the times, then the adjoints
+    gx = W^T g_z and gxd = W^T g_zd of the layer below, whose z and zdot
+    get g_z = gx f' + gxd f''(f') zdot and g_zd = gxd f'. The first
+    layer's input is the constant time, which gets no adjoint."""
+    t = _as_input(t_hat)
+    Ws = [W.value for W in weights]
+    y, ydot, saved = _dual_pass(cfg.activation, Ws,
+                                [b.value for b in biases], t)
+
+    def back(g):
+        # from the output layer down; ``below`` is what the hidden layer
+        # that feeds W saved, None under the first layer
+        g_z, g_zd = g[:4], g[4:]
+        gW, gb = [], []
+        for W, below in zip(Ws[::-1], saved[::-1] + [None]):
+            x, xdot = (t, np.ones_like(t)) if below is None else below[:2]
+            gW.append(g_z @ x.T + g_zd @ xdot.T)
+            gb.append(g_z.sum(axis=1, keepdims=True))
+            if below is not None:
+                _, _, zdot, d1, f2 = below
+                gx, gxd = W.T @ g_z, W.T @ g_zd
+                g_zd = gxd * d1
+                g_z = gx * d1 + gxd * f2(d1) * zdot
+        return gW[::-1] + gb[::-1]
+
+    out = Var(np.concatenate([y, ydot]), tuple(weights) + tuple(biases),
+              back, op="network")
+    return out[:4], out[4:]
 
 
 def fold_scales(net: Network, input_scale: float, output_scale) -> Network:

@@ -370,7 +370,10 @@ def synthesize_dataset(sys: SystemParams, drug: DrugParams,
     if noise_sd == 0.0:
         return series
 
-    rng = np.random.default_rng(seed)
     conc = series.concentrations()
-    noisy = np.maximum(conc + rng.normal(0.0, noise_sd, size=conc.shape), 0.0)
+    # the solution is added to the noise in place: the same sums as
+    # conc + noise, without two more (4, n) temporaries
+    noisy = np.random.default_rng(seed).normal(0.0, noise_sd, size=conc.shape)
+    noisy += conc
+    np.maximum(noisy, 0.0, out=noisy)
     return ConcentrationSeries(grid, noisy, plasma.values)

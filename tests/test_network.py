@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from brainpbpk.autodiff import Var, backward
+from brainpbpk.autodiff import NonFiniteGradient, Var, backward, grad
 from brainpbpk.network import (ACTIVATIONS, Network, NetworkConfig,
                                activation, fold_scales, forward,
                                forward_dual_tape, forward_with_time_derivative,
@@ -17,6 +17,30 @@ def wrap(net):
     ws = [Var(w) for w in net.weights]
     bs = [Var(b) for b in net.biases]
     return ws, bs
+
+
+# -- the dual pass recorded op by op: the oracle of the one network node -----
+
+def _act_tape_dual(name, z, zdot):
+    """A layer's activation as two tape nodes with analytic adjoints: the
+    value a = f(z), and the tangent f'(z) zdot, whose adjoints to z and
+    zdot are g f''(z) zdot and g f'(z)."""
+    a, f1, f2 = activation(name, z.value)
+    d1, zd = f1(), zdot.value
+    value = Var(a, (z,), lambda g: (g * d1,), op=name)
+    tangent = Var(d1 * zd, (z, zdot), lambda g: (g * f2(d1) * zd, g * d1),
+                  op=f"{name}-tangent")
+    return value, tangent
+
+
+def oracle_dual_tape(cfg, weights, biases, t_hat):
+    """(Y, dY/dt_hat) with every matmul, add and activation its own tape
+    node, the input time and its unit tangent included."""
+    x = Var(np.asarray(t_hat, dtype=float).reshape(1, -1), op="input")
+    xdot = Var(np.ones_like(x.value), op="input-tangent")
+    for W, b in zip(weights[:-1], biases[:-1]):
+        x, xdot = _act_tape_dual(cfg.activation, W @ x + b, W @ xdot)
+    return weights[-1] @ x + biases[-1], weights[-1] @ xdot
 
 
 class TestInit:
@@ -115,8 +139,8 @@ class TestTimeDerivative:
 
     @pytest.mark.parametrize("act", ACTIVATIONS)
     def test_gradient_through_derivative(self, act):
-        # a loss on both Y and dY/dt reaches both adjoints of both of a
-        # layer's activation nodes; every weight and bias entry is checked
+        # a loss on both Y and dY/dt reaches both halves of the network
+        # node's adjoint; every weight and bias entry is checked
         cfg = NetworkConfig(hidden_layers=2, neurons=4, activation=act,
                             seed=5)
         net = init_network(cfg)
@@ -159,6 +183,63 @@ class TestTimeDerivative:
         # d/db0 = 4 rows x 2 (via Y); d/dW0 = that x t + 4 x 2 (via dY/dt)
         assert bs[0].grad[0, 0] == 8.0
         assert ws[0].grad[0, 0] == 16.0
+
+
+class TestNetworkNode:
+    # a loss on Y only or on dY/dt only leaves one half of the node's
+    # (8, N) adjoint zero
+    LOSSES = {
+        "value": lambda w, y, dy: (w * y ** 2).sum(),
+        "tangent": lambda w, y, dy: (w * dy ** 2).sum(),
+        "both": lambda w, y, dy: (w * (y - 0.5) ** 2).sum()
+        + (w * (y * dy)).sum() + y[:, :1].sum(),
+    }
+
+    @pytest.mark.parametrize("loss", sorted(LOSSES))
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    def test_matches_per_op_tape_bitwise(self, act, layers, loss):
+        cfg = NetworkConfig(hidden_layers=layers, neurons=6, activation=act,
+                            seed=layers)
+        net = init_network(cfg)
+        rng = np.random.default_rng(7)
+        for b in net.biases:
+            b += rng.normal(0.0, 0.3, b.shape)
+        t = np.linspace(0.0, 1.0, 11)
+        w = rng.uniform(0.5, 2.0, (4, t.size))
+        got, want = [], []
+        for build, out in ((forward_dual_tape, got),
+                           (oracle_dual_tape, want)):
+            ws, bs = wrap(net)
+            y, dy = build(cfg, ws, bs, t)
+            out += [y.value, dy.value]
+            out += grad(self.LOSSES[loss](w, y, dy), ws + bs)
+        assert len(got) == len(want) == 2 + 2 * (layers + 1)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_one_node_over_the_parameters(self):
+        net = init_network(NetworkConfig(hidden_layers=3, neurons=4))
+        ws, bs = wrap(net)
+        y, dy = forward_dual_tape(net.config, ws, bs, np.linspace(0, 1, 5))
+        (node,), (same,) = y.parents, dy.parents
+        assert node is same and node.op == "network"
+        assert node.shape == (8, 5)
+        # no adjoint goes to the input time: it is not on the tape
+        assert node.parents == tuple(ws) + tuple(bs)
+
+    def test_reverse_only_overflow_names_the_node(self):
+        # sin keeps every forward value finite, but the adjoint of the first
+        # layer's output, W1^T g_z = 1e304 * 4e5 cos(z), overflows
+        cfg = NetworkConfig(hidden_layers=2, neurons=1, activation="sin")
+        ws = [Var([[1e-3]]), Var([[1e304]]), Var(np.full((4, 1), 1e5))]
+        bs = [Var([[0.3]]), Var([[0.0]]), Var(np.zeros((4, 1)))]
+        y, dy = forward_dual_tape(cfg, ws, bs, [0.2, 0.7])
+        assert np.all(np.isfinite(y.value)) and np.all(np.isfinite(dy.value))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteGradient) as err:
+            backward(y.sum())
+        assert err.value.op == "network"
 
 
 class TestActivationTable:

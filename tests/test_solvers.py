@@ -430,6 +430,14 @@ class TestSynthesizeDataset:
             "b09ff0374bd09aa4192abbfc1bc571e91584e610014266af510d2af5cff9d49f",
             "65a79c193d581879033f84070a029bc81d8ddd6d6c631d0a00a4db8431f9541c"]
 
+    def test_noisy_set_bits(self):
+        # the noise path pinned the same way: seed 1, sd 1e-4, with six
+        # entries truncated at zero
+        ds = synthesize_dataset(SYS, DRUG, n_points=200, noise_sd=1e-4, seed=1)
+        assert np.count_nonzero(ds.concentrations() == 0.0) == 6
+        assert hashlib.sha256(ds.concentrations().tobytes()).hexdigest() == \
+            "6701592efbb948b1a939f9292baa66356965f396b78d02c644ea14b31c5595ae"
+
     def test_concentrations_stay_bounded(self):
         # linear stable system driven by plasma <= peak keeps all
         # compartments within the same order of magnitude

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -429,6 +430,28 @@ class TestTrain:
         tc = TrainConfig(lr=lr, iterations=5, lbfgs_iters=0, log_stride=1)
         with pytest.raises(TrainingDiverged, match="iteration 1: loss diverged"):
             train(small_dataset(20), default_estimation_spec(), cfg, tc)
+
+    @pytest.mark.parametrize("layers, act, digest", [
+        (3, "tanh",
+         "ba15da98ba8274ae70cdaa9a3451672580e089f0d6f1a85b6f40a774b4506c25"),
+        (2, "relu",
+         "7d76f30e87ffdf9bad4364372a7b279d738dcb679e7a916fb757bc479b3664aa")])
+    def test_training_bits(self, layers, act, digest):
+        # 30 Adam + 2 L-BFGS steps on the 200-point reference set, pinned
+        # to the bit: SHA-256 of the final weights and biases, the logged
+        # total losses and the final raw values, as C-order float64 bytes
+        ds = synthesize_dataset(SystemParams(), DrugParams(), n_points=200)
+        cfg = nn.NetworkConfig(hidden_layers=layers, neurons=50,
+                               activation=act, seed=0)
+        tc = TrainConfig(lr=1e-3, iterations=30, lbfgs_iters=2, log_stride=10)
+        net, fspec, art = train(ds, default_estimation_spec(), cfg, tc)
+        assert art.lbfgs_iterations == 2
+        h = hashlib.sha256()
+        for a in net.parameter_arrays():
+            h.update(a.tobytes())
+        h.update(np.array(art.loss_total).tobytes())
+        h.update(np.array([p.raw for p in fspec.free]).tobytes())
+        assert h.hexdigest() == digest
 
     def test_lbfgs_stage_extends_iteration_numbers(self):
         ds = small_dataset(10)
