@@ -54,6 +54,10 @@ def _parse_free(arg: str) -> list[str]:
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise SystemExit(f"error: --free repeats {', '.join(repeated)}")
+    zero = [n for n in names if reference_value(n) == 0]
+    if zero:
+        raise SystemExit(f"error: --free {', '.join(zero)}: the reference "
+                         "value is 0, which no --bounds-scale box can hold")
     return names
 
 

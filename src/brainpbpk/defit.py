@@ -70,12 +70,12 @@ class EstimationResult:
 
 
 def population_sse(population, spec: EstimationSpec,
-                   dataset: ConcentrationSeries, plasma=None) -> np.ndarray:
+                   dataset: ConcentrationSeries) -> np.ndarray:
     """Sum of squared residuals over all compartments and time points for
-    each row of a ``(P, d)`` population of free-parameter vectors; rows
-    that fail validation or solve to non-finite states score +inf."""
-    if plasma is None:
-        plasma = dataset.plasma_profile()
+    each row of a ``(P, d)`` population of free-parameter vectors, driven
+    by the dataset's plasma column; rows that fail validation or solve to
+    non-finite states score +inf."""
+    plasma = dataset.plasma_profile()
     population = np.asarray(population, dtype=float)
     n = len(population)
     valid = np.ones(n, dtype=bool)
@@ -101,9 +101,9 @@ def population_sse(population, spec: EstimationSpec,
 
 
 def sse_objective(free_values, spec: EstimationSpec,
-                  dataset: ConcentrationSeries, plasma=None) -> float:
+                  dataset: ConcentrationSeries) -> float:
     """``population_sse`` for a single candidate free-parameter vector."""
-    return float(population_sse([free_values], spec, dataset, plasma)[0])
+    return float(population_sse([free_values], spec, dataset)[0])
 
 
 def _reflect(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -181,13 +181,12 @@ def fit_de(dataset: ConcentrationSeries, spec: EstimationSpec,
     """DE fit of the free parameters to the dataset: the best values, their
     objective and how the run stopped; the caller grades the values."""
     t0 = time.perf_counter()
-    plasma = dataset.plasma_profile()
     bounds = [(p.lo, p.hi) for p in spec.free]
     inf_candidates = 0
 
     def objective(population):
         nonlocal inf_candidates
-        sse = population_sse(population, spec, dataset, plasma)
+        sse = population_sse(population, spec, dataset)
         inf_candidates += int(np.count_nonzero(np.isinf(sse)))
         return sse
 

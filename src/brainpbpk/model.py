@@ -54,9 +54,8 @@ def assemble_matrix(sys: SystemParams, drug: DrugParams) -> np.ndarray:
 
 
 def influx_terms(Y, cart, sys: SystemParams, drug: DrugParams):
-    """Term-by-term mass balances as amount rates; generic over floats,
-    arrays, and autodiff variables (the PINN residual substitutes trainable
-    parameters in).
+    """Term-by-term mass balances as amount rates; generic over floats and
+    arrays.
 
     ``Y`` is a 4-sequence of concentrations, ``cart`` the arterial plasma
     concentration (mg/L). Returns a 4-tuple of net influxes V_k * dC_k/dt

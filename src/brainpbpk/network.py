@@ -3,18 +3,17 @@
 The network maps normalized time (shape (1, N)) to the four compartment
 concentrations (shape (4, N)). Hidden layers are affine + activation, the
 output layer is affine. Each activation is written once, in
-``activation``, as its value and its first two derivatives (computed only
-on request).
+``activation``, as its value and its first two derivatives.
 
-The dual pass, which carries each layer's value and its time tangent
-(value, d/dt_hat) forward together, is written once, in ``_dual_pass`` on
-plain arrays. Two paths call it:
+The network has one pass, ``_dual_pass`` on plain arrays, which carries
+each layer's value and its time tangent (value, d/dt_hat) forward
+together. Two paths call it:
 
-* ``forward_with_time_derivative`` for prediction and testing (``forward``
-  is the value-only pass), and
+* ``forward_with_time_derivative`` for prediction and testing
+  (``forward`` is its Y), and
 * ``forward_dual_tape`` for training, where the whole pass is one autodiff
   node (op ``"network"``) whose parents are the weight and bias leaves.
-  Its reverse pass is written out layer by layer from what ``_dual_pass``
+  Its reverse pass reads the one record per layer that ``_dual_pass``
   saved, and gives no adjoint to the constant input time.
 
 So Y and dY/dt agree bit for bit between the two paths, and the node's
@@ -98,56 +97,48 @@ def init_network(cfg: NetworkConfig) -> Network:
 # -- the activation table ----------------------------------------------------
 
 def activation(name: str, z: np.ndarray):
-    """(f(z), f', f'') of the hidden-layer activation ``name``,
-    elementwise. The one place each activation's
-    calculus is written: the value-only and the dual pass read it. f' comes
-    as a function of no arguments and f'' as a function of f', so each is
-    computed only by a pass that needs it."""
+    """(f(z), f'(z), f'') of the hidden-layer activation ``name``,
+    elementwise: f and f' as arrays, f'' as a function of f'. The one place
+    each activation's calculus is written; the dual pass reads it. Only the
+    reverse pass of ``forward_dual_tape`` calls f'': computed in the forward
+    pass, it would keep one more (neurons, N) array per layer alive until
+    the sweep, which slows a training step."""
     if name == "tanh":
         a = np.tanh(z)
-        return a, lambda: 1.0 - a * a, lambda d1: -2.0 * a * d1
+        return a, 1.0 - a * a, lambda d1: -2.0 * a * d1
     if name == "sigmoid":
         with np.errstate(over="ignore"):  # exp(1000) = inf gives f = 0
             a = 1.0 / (1.0 + np.exp(-z))
-        return a, lambda: a * (1.0 - a), lambda d1: d1 * (1.0 - 2.0 * a)
+        return a, a * (1.0 - a), lambda d1: d1 * (1.0 - 2.0 * a)
     if name == "relu":
         # subgradient 0 at exactly z = 0; f'' is 0 and broadcasts
         mask = z > 0
-        return np.where(mask, z, 0.0), lambda: mask.astype(float), lambda d1: 0.0
+        return np.where(mask, z, 0.0), mask.astype(float), lambda d1: 0.0
     a = np.sin(z)
-    return a, lambda: np.cos(z), lambda d1: -a
+    return a, np.cos(z), lambda d1: -a
 
 
 # -- numpy evaluation --------------------------------------------------------
 
-def _as_input(t_hat) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(t_hat, dtype=float))
-    return x.reshape(1, -1)
-
-
 def forward(net: Network, t_hat) -> np.ndarray:
-    """Network output, shape (4, N) for N input times."""
-    cfg = net.config
-    x = _as_input(t_hat)
-    for W, b in zip(net.weights[:-1], net.biases[:-1]):
-        x = activation(cfg.activation, W @ x + b)[0]
-    return net.weights[-1] @ x + net.biases[-1]
+    """Network output, shape (4, N) for N input times: the Y of
+    ``forward_with_time_derivative``."""
+    return forward_with_time_derivative(net, t_hat)[0]
 
 
 def _dual_pass(name: str, weights, biases, t_hat):
     """(Y, dY/dt_hat, saved) of the network with activation ``name`` and
     the layer arrays ``weights``, ``biases`` at the times ``t_hat``, by
-    dual propagation. ``saved`` holds, per hidden layer, what the reverse
-    pass of ``forward_dual_tape`` reads: the layer's output x = f(z) and
-    tangent xdot = f'(z) zdot, the pre-activation tangent zdot, f'(z), and
-    f'' as a function of f'."""
-    x = _as_input(t_hat)
+    dual propagation. ``saved`` holds one record per layer, what the
+    reverse pass of ``forward_dual_tape`` reads: the input x and its
+    tangent xdot that the layer saw and, for every layer but the first,
+    the (zdot, f'(z), f'') of the activation x = f(z) that produced them."""
+    x = np.asarray(t_hat, dtype=float).reshape(1, -1)
     xdot = np.ones_like(x)
-    saved = []
+    saved = [(x, xdot)]
     for W, b in zip(weights[:-1], biases[:-1]):
-        x, f1, f2 = activation(name, W @ x + b)
+        x, d1, f2 = activation(name, W @ x + b)
         zdot = W @ xdot
-        d1 = f1()
         xdot = d1 * zdot
         saved.append((x, xdot, zdot, d1, f2))
     return weights[-1] @ x + biases[-1], weights[-1] @ xdot, saved
@@ -155,9 +146,8 @@ def _dual_pass(name: str, weights, biases, t_hat):
 
 def forward_with_time_derivative(net: Network, t_hat):
     """(Y, dY/dt_hat), both shape (4, N); derivative by dual propagation."""
-    y, ydot, _ = _dual_pass(net.config.activation, net.weights, net.biases,
-                            t_hat)
-    return y, ydot
+    return _dual_pass(net.config.activation, net.weights, net.biases,
+                      t_hat)[:2]
 
 
 # -- tape evaluation ---------------------------------------------------------
@@ -174,22 +164,19 @@ def forward_dual_tape(cfg: NetworkConfig, weights: list[Var],
     gx = W^T g_z and gxd = W^T g_zd of the layer below, whose z and zdot
     get g_z = gx f' + gxd f''(f') zdot and g_zd = gxd f'. The first
     layer's input is the constant time, which gets no adjoint."""
-    t = _as_input(t_hat)
     Ws = [W.value for W in weights]
     y, ydot, saved = _dual_pass(cfg.activation, Ws,
-                                [b.value for b in biases], t)
+                                [b.value for b in biases], t_hat)
 
     def back(g):
-        # from the output layer down; ``below`` is what the hidden layer
-        # that feeds W saved, None under the first layer
+        # from the output layer down, one saved record per layer
         g_z, g_zd = g[:4], g[4:]
         gW, gb = [], []
-        for W, below in zip(Ws[::-1], saved[::-1] + [None]):
-            x, xdot = (t, np.ones_like(t)) if below is None else below[:2]
+        for W, (x, xdot, *below) in zip(Ws[::-1], saved[::-1]):
             gW.append(g_z @ x.T + g_zd @ xdot.T)
             gb.append(g_z.sum(axis=1, keepdims=True))
-            if below is not None:
-                _, _, zdot, d1, f2 = below
+            if below:
+                zdot, d1, f2 = below
                 gx, gxd = W.T @ g_z, W.T @ g_zd
                 g_zd = gxd * d1
                 g_z = gx * d1 + gxd * f2(d1) * zdot

@@ -47,8 +47,8 @@ def in_range(name: str, value):
 
 
 def _check_fields(obj) -> None:
-    # Validation only applies to plain numeric instances; autodiff variables
-    # and arrays may be substituted for free parameters.
+    # Validation only applies to plain numeric instances; arrays (a DE
+    # population, the PINN's complex-step batch) may be substituted.
     fields = dataclasses.fields(obj)
     if all(isinstance(getattr(obj, f.name), (int, float)) for f in fields):
         for f in fields:
@@ -120,7 +120,7 @@ def reference_value(name: str) -> float:
 def substitute(sys: SystemParams, drug: DrugParams, values: dict):
     """Return copies of (sys, drug) with the named fields replaced.
 
-    Replacement values may be plain floats or autodiff variables.
+    Replacement values may be plain floats or arrays.
     """
     sys_over = {k: v for k, v in values.items() if k in SYSTEM_PARAM_NAMES}
     drug_over = {k: v for k, v in values.items() if k in DRUG_PARAM_NAMES}

@@ -86,23 +86,25 @@ class InitialState:
 # --- generic integrators ----------------------------------------------------
 
 def rk4_solve(f, y0, grid, h: float) -> np.ndarray:
-    """Classic 4-stage RK from t = 0, fixed step h, landing on grid points."""
+    """Classic 4-stage RK from t = 0, fixed step h, landing on grid points.
+    A blow-up raises NonFiniteState, without a numpy overflow warning."""
     grid = np.asarray(grid, dtype=float)
     y = np.asarray(y0, dtype=float).copy()
     t = 0.0
     out = np.empty((grid.size,) + y.shape)
-    for i, tg in enumerate(grid):
-        while t < tg - 1e-14:
-            step = min(h, tg - t)
-            k1 = f(t, y)
-            k2 = f(t + 0.5 * step, y + 0.5 * step * k1)
-            k3 = f(t + 0.5 * step, y + 0.5 * step * k2)
-            k4 = f(t + step, y + step * k3)
-            y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += step
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteState(f"non-finite state at t={t:.6g}")
-        out[i] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, tg in enumerate(grid):
+            while t < tg - 1e-14:
+                step = min(h, tg - t)
+                k1 = f(t, y)
+                k2 = f(t + 0.5 * step, y + 0.5 * step * k1)
+                k3 = f(t + 0.5 * step, y + 0.5 * step * k2)
+                k4 = f(t + step, y + step * k3)
+                y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t += step
+            if not np.all(np.isfinite(y)):
+                raise NonFiniteState(f"non-finite state at t={t:.6g}")
+            out[i] = y
     return out
 
 
@@ -126,36 +128,40 @@ _MIN_STEP = 1e-12
 
 def dopri45_solve(f, y0, grid, rtol: float, atol: float) -> np.ndarray:
     """Embedded 5(4) pair from t = 0 with step rejection; steps are clipped
-    to land on each output grid point."""
+    to land on each output grid point. A blow-up raises NonFiniteState,
+    without a numpy overflow warning."""
     grid = np.asarray(grid, dtype=float)
     y = np.asarray(y0, dtype=float).copy()
     t = 0.0
     h = min(1e-4, grid[-1] / 10)  # no step is taken unless grid[-1] > 0
     out = np.empty((grid.size,) + y.shape)
     ks = [None] * 7
-    for i, tg in enumerate(grid):
-        while t < tg - 1e-14:
-            h = min(h, tg - t)
-            if h < _MIN_STEP:
-                raise StepSizeUnderflow(f"adaptive step underflow at t={t:.6g}")
-            for s in range(7):
-                ts = t + _DP_C[s] * h
-                ys = y
-                if s:
-                    ys = y + h * sum(a * ks[j] for j, a in enumerate(_DP_A[s]))
-                ks[s] = f(ts, ys)
-            y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
-            y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks))
-            if not np.all(np.isfinite(y5)):
-                raise NonFiniteState(f"non-finite state at t={t:.6g}")
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = np.sqrt(np.mean(((y5 - y4) / scale) ** 2))
-            if err <= 1.0:
-                t += h
-                y = y5
-            factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
-            h *= min(5.0, max(0.2, factor))
-        out[i] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, tg in enumerate(grid):
+            while t < tg - 1e-14:
+                h = min(h, tg - t)
+                if h < _MIN_STEP:
+                    raise StepSizeUnderflow(
+                        f"adaptive step underflow at t={t:.6g}")
+                for s in range(7):
+                    ts = t + _DP_C[s] * h
+                    ys = y
+                    if s:
+                        ys = y + h * sum(a * ks[j]
+                                         for j, a in enumerate(_DP_A[s]))
+                    ks[s] = f(ts, ys)
+                y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
+                y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks))
+                if not np.all(np.isfinite(y5)):
+                    raise NonFiniteState(f"non-finite state at t={t:.6g}")
+                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+                err = np.sqrt(np.mean(((y5 - y4) / scale) ** 2))
+                if err <= 1.0:
+                    t += h
+                    y = y5
+                factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
+                h *= min(5.0, max(0.2, factor))
+            out[i] = y
     return out
 
 

@@ -450,28 +450,31 @@ def train(dataset: ConcentrationSeries, spec: EstimationSpec,
             log(done, evaluate(x)[1], x)
 
     adam = AdamState(theta)
-    try:
-        total, comp, leaves = evaluate(theta)
-        cap = _DIVERGENCE_FACTOR * total.item()
-        for it in range(base_iter + 1):
-            if it > 0:
-                adam.step(theta, gradient(total, leaves), train_cfg.lr)
-                done = it
-                total, comp, leaves = evaluate(theta)
-            # checked before logging: the log refuses a non-finite loss
-            if not np.isfinite(total.value) or total.item() > cap:
-                raise TrainingDiverged(it, artifacts, "loss diverged")
-            if it % train_cfg.log_stride == 0 or it == base_iter:
-                log(it, comp, theta)
-        if train_cfg.lbfgs_iters > 0:
-            result = lbfgs_refine(loss_and_grad, theta, train_cfg.lbfgs_iters,
-                                  callback=cb)
-            artifacts.lbfgs_iterations = result.iterations
-            artifacts.lbfgs_line_search_failed = result.line_search_failed
-            theta = result.x
-            log(base_iter + result.iterations + 1, evaluate(theta)[1], theta)
-    except NonFiniteGradient as err:
-        raise TrainingDiverged(done, artifacts, str(err)) from err
+    # an overflow is named by the loss cap, the line search's inf or
+    # NonFiniteGradient below, not by a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            total, comp, leaves = evaluate(theta)
+            cap = _DIVERGENCE_FACTOR * total.item()
+            for it in range(base_iter + 1):
+                if it > 0:
+                    adam.step(theta, gradient(total, leaves), train_cfg.lr)
+                    done = it
+                    total, comp, leaves = evaluate(theta)
+                # checked before logging: the log refuses a non-finite loss
+                if not np.isfinite(total.value) or total.item() > cap:
+                    raise TrainingDiverged(it, artifacts, "loss diverged")
+                if it % train_cfg.log_stride == 0 or it == base_iter:
+                    log(it, comp, theta)
+            if train_cfg.lbfgs_iters > 0:
+                result = lbfgs_refine(loss_and_grad, theta, train_cfg.lbfgs_iters,
+                                      callback=cb)
+                artifacts.lbfgs_iterations = result.iterations
+                artifacts.lbfgs_line_search_failed = result.line_search_failed
+                theta = result.x
+                log(base_iter + result.iterations + 1, evaluate(theta)[1], theta)
+        except NonFiniteGradient as err:
+            raise TrainingDiverged(done, artifacts, str(err)) from err
 
     params = _views(theta, shapes)
     final_net = nn.fold_scales(

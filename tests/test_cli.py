@@ -107,6 +107,17 @@ def test_unknown_free_name_is_an_error(dataset_dir, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["train", "fit-de"])
+def test_zero_reference_free_name_is_an_error(dataset_dir, tmp_path,
+                                              command):
+    # CLBin and CLCout have reference value 0: every scaled box is [0, 0]
+    with pytest.raises(SystemExit, match="^error: --free CLBin, CLCout: the "
+                                         "reference value is 0"):
+        main([*COMMANDS[command], "--data", str(dataset_dir / "dataset.csv"),
+              "--free", "Vbb,CLBin,CLCout", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "fit-de"])
 def test_infinite_box_is_an_error(dataset_dir, tmp_path, command):
     with pytest.raises(SystemExit, match=r"^error: --bounds-scale 0\.5,inf: "
                                          "Vbb: bounds must be finite"):

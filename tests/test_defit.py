@@ -215,7 +215,6 @@ class TestSseObjective:
 
 
 class TestPopulationSse:
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_invalid_row_inf_others_match_scalar(self):
         ds = synthesize_dataset(SYS, DRUG, n_points=40)
         spec = default_estimation_spec()

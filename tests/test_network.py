@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import warnings
@@ -11,6 +12,8 @@ from brainpbpk.network import (ACTIVATIONS, Network, NetworkConfig,
                                activation, fold_scales, forward,
                                forward_dual_tape, forward_with_time_derivative,
                                init_network, load_network, save_network)
+from brainpbpk.params import DrugParams, SystemParams
+from brainpbpk.solvers import synthesize_dataset
 
 
 def wrap(net):
@@ -25,8 +28,8 @@ def _act_tape_dual(name, z, zdot):
     """A layer's activation as two tape nodes with analytic adjoints: the
     value a = f(z), and the tangent f'(z) zdot, whose adjoints to z and
     zdot are g f''(z) zdot and g f'(z)."""
-    a, f1, f2 = activation(name, z.value)
-    d1, zd = f1(), zdot.value
+    a, d1, f2 = activation(name, z.value)
+    zd = zdot.value
     value = Var(a, (z,), lambda g: (g * d1,), op=name)
     tangent = Var(d1 * zd, (z, zdot), lambda g: (g * f2(d1) * zd, g * d1),
                   op=f"{name}-tangent")
@@ -104,6 +107,29 @@ class TestForward:
         t = np.array([-1.0, 0.0, 1.0])
         expected = 2.0 * np.maximum(3.0 * t + 1.0, 0.0) + 4.0
         assert np.allclose(forward(net, t), expected)
+
+    @pytest.mark.parametrize("act, digest", [
+        ("tanh",
+         "c3416b446b7cabadc573781f64b2ecaad1234b81d37c8a38c266f943c816c7b2"),
+        ("sigmoid",
+         "462f3cbecabd1d5381acb67cbffa9d02d0cc07d06749590f477a85964490da8f"),
+        ("relu",
+         "3620cc8d01e2cc1b476b240a84589449b0c6d3924c5b8823de343b30a2679904"),
+        ("sin",
+         "ea8cc35a1c1e738342cfd86fb37f4184e43e61af9f73e823b7e7c063505237bc")])
+    def test_output_bits(self, act, digest):
+        # the prediction.csv path, pinned to the bit: SHA-256 of the output
+        # of a 2x50 network with random biases at the 200 reference times
+        # over their 48 h horizon, as C-order float64 bytes
+        times = synthesize_dataset(SystemParams(), DrugParams(),
+                                   n_points=200).times
+        net = init_network(NetworkConfig(hidden_layers=2, neurons=50,
+                                         activation=act, seed=0))
+        rng = np.random.default_rng(3)
+        for b in net.biases:
+            b += rng.normal(0.0, 0.3, b.shape)
+        y = forward(net, times / 48.0)
+        assert hashlib.sha256(y.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("act", ACTIVATIONS)
     def test_dual_tape_matches_numpy_bitwise(self, act):
@@ -246,20 +272,17 @@ class TestActivationTable:
     @pytest.mark.parametrize("act", ACTIVATIONS)
     def test_derivatives_match_finite_differences(self, act):
         z = np.linspace(-2.0, 2.0, 9) + 0.05   # clear of relu's kink
-        _, f1, f2 = activation(act, z)
-        d1 = f1()
+        _, d1, f2 = activation(act, z)
         eps = 1e-5
         up, down = activation(act, z + eps), activation(act, z - eps)
         assert np.allclose(d1, (up[0] - down[0]) / (2 * eps), atol=1e-8)
-        assert np.allclose(f2(d1), (up[1]() - down[1]()) / (2 * eps),
-                           atol=1e-8)
+        assert np.allclose(f2(d1), (up[1] - down[1]) / (2 * eps), atol=1e-8)
 
     def test_sigmoid_saturates_without_warning(self):
         # exp(1000) overflows to inf; f is still exactly 0 there
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            a, f1, _ = activation("sigmoid", np.array([-1000.0, 1000.0]))
-            d1 = f1()
+            a, d1, _ = activation("sigmoid", np.array([-1000.0, 1000.0]))
         assert a.tolist() == [0.0, 1.0]
         assert d1.tolist() == [0.0, 0.0]
 

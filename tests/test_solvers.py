@@ -65,6 +65,12 @@ class TestGenericIntegrators:
             rk4_solve(lambda t, y: y ** 2, np.array([1.0]),
                       np.array([0.0, 10.0]), 0.01)
 
+    def test_dopri_nonfinite_raises(self):
+        # y^2 overflows in the first stage; the error names it, no warning
+        with pytest.raises(NonFiniteState):
+            dopri45_solve(lambda t, y: y ** 2, np.array([1e200]),
+                          np.array([0.0, 1.0]), rtol=1e-8, atol=1e-10)
+
     def test_dopri_underflow_raises(self):
         # derivative blows up before the endpoint, forcing tiny steps
         def f(t, y):

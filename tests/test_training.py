@@ -421,7 +421,6 @@ class TestTrain:
                                   + [[p.raw for p in spec.free]])
         assert np.array_equal(captured[0], expected)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("lr", [1e30, 1e200])
     def test_huge_step_ends_as_divergence(self, lr):
         # one step puts some raw values near -lr, where exp(-raw) overflows,
@@ -435,7 +434,11 @@ class TestTrain:
         (3, "tanh",
          "ba15da98ba8274ae70cdaa9a3451672580e089f0d6f1a85b6f40a774b4506c25"),
         (2, "relu",
-         "7d76f30e87ffdf9bad4364372a7b279d738dcb679e7a916fb757bc479b3664aa")])
+         "7d76f30e87ffdf9bad4364372a7b279d738dcb679e7a916fb757bc479b3664aa"),
+        (2, "sigmoid",
+         "9d5162b0543342e57d267d1f07faa0c7eaba1b46f4db3266e9abc2ac358b4625"),
+        (2, "sin",
+         "16d73d6dfd2973cd2410c22c260716bc6bd7c8f99fd5d5a6deb9b06571e07756")])
     def test_training_bits(self, layers, act, digest):
         # 30 Adam + 2 L-BFGS steps on the 200-point reference set, pinned
         # to the bit: SHA-256 of the final weights and biases, the logged
@@ -479,8 +482,6 @@ class TestTrain:
         assert art.lbfgs_line_search_failed
         assert art.lbfgs_iterations == 1
 
-    # the trial points below overflow the forward pass on purpose
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_lbfgs_backs_off_from_nonfinite_trial(self, monkeypatch):
         # a gradient scaled by 1e200 puts every trial point of the first
         # line search (steps down to 2^-29) at weights of 1e190 and more,
@@ -502,7 +503,6 @@ class TestTrain:
         assert art.lbfgs_line_search_failed
         assert art.lbfgs_iterations == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_lbfgs_nonfinite_gradient_raises_diverged(self, monkeypatch):
         # after two L-BFGS iterations, evaluate a point where tiny
         # first-layer weights (x0[:4]) under huge output weights (x0[4:20])
