@@ -170,14 +170,17 @@ def cmd_simulate(args) -> int:
 # -- train -------------------------------------------------------------------
 
 def _write_summary(out: Path, label: str, values: dict, abs_errors: dict,
-                   objective: float, prediction: str) -> None:
+                   objective: float, prediction: ConcentrationSeries) -> None:
+    """``prediction.csv`` and ``summary.json``: the estimate that ``train``
+    and ``fit-de`` both leave for ``compare``."""
+    write_series(prediction, out / "prediction.csv")
     summary = {
         "label": label,
         "free": list(values),
         "values": values,
         "abs_errors": abs_errors,
         "objective": objective,
-        "prediction": prediction,
+        "prediction": "prediction.csv",
     }
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -200,6 +203,7 @@ def cmd_train(args) -> int:
     reference = _reference_from_manifest(args.data, spec.names)
     out = _outdir(args.out)
 
+    start = time.perf_counter()
     try:
         net, final_spec, artifacts = train(dataset, spec, net_cfg, train_cfg)
     except TrainingDiverged as err:
@@ -207,6 +211,7 @@ def cmd_train(args) -> int:
         err.artifacts.write_trajectory(out / "trajectory.csv")
         print(f"error: training aborted: {err}", file=sys.stderr)
         return 1
+    seconds = time.perf_counter() - start
 
     artifacts.write_loss_history(out / "loss_history.csv")
     artifacts.write_trajectory(out / "trajectory.csv")
@@ -214,15 +219,11 @@ def cmd_train(args) -> int:
 
     horizon = float(dataset.times[-1])
     dense = np.linspace(0.0, horizon, args.prediction_points)
-    pred = nn.forward(net, dense / horizon)
-    plasma = dataset.plasma_profile()
-    write_series(ConcentrationSeries(dense, pred, linear_interp(plasma, dense)),
-                 out / "prediction.csv")
-
+    pred = ConcentrationSeries(dense, nn.forward(net, dense / horizon),
+                               linear_interp(dataset.plasma_profile(), dense))
     values = final_spec.constrained_values()
     errors = {n: abs(reference[n] - v) for n, v in values.items()}
-    _write_summary(out, "PINN", values, errors, artifacts.loss_total[-1],
-                   "prediction.csv")
+    _write_summary(out, "PINN", values, errors, artifacts.loss_total[-1], pred)
     for name, value in values.items():
         print(f"{name}: {value:.9g} (reference {reference[name]:.9g})")
     if args.lbfgs_iters > 0:
@@ -235,7 +236,7 @@ def cmd_train(args) -> int:
         print(f"L-BFGS: {artifacts.lbfgs_iterations} iterations "
               f"(stopped on {stop})")
     print(f"final total loss: {artifacts.loss_total[-1]:.6e} "
-          f"({artifacts.wall_seconds:.1f}s)")
+          f"({seconds:.1f}s)")
     return 0
 
 
@@ -248,7 +249,9 @@ def cmd_fit_de(args) -> int:
     dataset = _read_dataset(args.data, need_plasma=True)
     reference = _reference_from_manifest(args.data, spec.names)
     out = _outdir(args.out)
+    start = time.perf_counter()
     result = fit_de(dataset, spec, cfg)
+    seconds = time.perf_counter() - start
     values = dict(zip(result.names, result.values))
     errors = {n: abs(reference[n] - v) for n, v in values.items()}
     write_rows(out / "de_result.csv",
@@ -263,15 +266,13 @@ def cmd_fit_de(args) -> int:
                      SolveConfig(grid=dataset.times))
     except SolverError as err:
         raise SystemExit(f"error: {err}") from None
-    write_series(pred, out / "prediction.csv")
-    _write_summary(out, "DE", values, errors, result.objective,
-                   "prediction.csv")
+    _write_summary(out, "DE", values, errors, result.objective, pred)
     for name, value in values.items():
         print(f"{name}: {value:.9g} (abs error {errors[name]:.3e})")
     print(f"objective: {result.objective:.6e}, generations: "
           f"{result.generations} (stopped on {result.stop_reason}), "
           f"inf candidates: {result.inf_candidates}, "
-          f"{result.wall_seconds:.1f}s")
+          f"{seconds:.1f}s")
     return 0
 
 
@@ -318,11 +319,8 @@ def cmd_sweep(args) -> int:
               train_cfg)
              for L, act in rows for N in neuron_counts]
     out = _outdir(args.out)
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
-            results = list(pool.map(_sweep_cell, cells))
-    else:
-        results = [_sweep_cell(c) for c in cells]
+    with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
+        results = list(pool.map(_sweep_cell, cells))
 
     # results come in the order of cells: one row's cells are consecutive
     text = ["diverged" if loss is None else f"{loss:.2e} ({secs:.0f})"

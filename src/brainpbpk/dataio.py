@@ -248,7 +248,6 @@ class RunArtifacts:
     loss_ic: list[float] = field(default_factory=list)
     loss_total: list[float] = field(default_factory=list)
     trajectory: list[list[float]] = field(default_factory=list)
-    wall_seconds: float = 0.0
     lbfgs_iterations: int = 0
     lbfgs_line_search_failed: bool = False
 

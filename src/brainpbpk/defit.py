@@ -4,8 +4,8 @@ Classic rand/1/bin: mutant v = a + F*(b - c) over three distinct random
 members, binomial crossover with a guaranteed mutated coordinate, greedy
 selection. Out-of-bounds coordinates are reflected back into the box.
 ``fit_de`` returns the best values, their objective and why the run
-stopped; how far the values land from the true parameters is the caller's
-to judge, as the CLI does for both engines.
+stopped; how far the values land from the true parameters, and how long
+the run took, are the caller's to judge, as the CLI does for both engines.
 
 Seed contract: after the initial population, each generation draws, row by
 row, a permutation of the population (its first three members other than
@@ -23,7 +23,6 @@ scores +inf without affecting the others.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +62,6 @@ class EstimationResult:
     names: list[str]
     values: np.ndarray
     objective: float
-    wall_seconds: float
     generations: int = 0
     stop_reason: str = "budget"     # "stagnation" or "budget"
     inf_candidates: int = 0         # rows scored +inf over the run
@@ -179,8 +177,8 @@ def differential_evolution(objective, bounds, cfg: DEConfig = DEConfig()):
 def fit_de(dataset: ConcentrationSeries, spec: EstimationSpec,
            cfg: DEConfig = DEConfig()) -> EstimationResult:
     """DE fit of the free parameters to the dataset: the best values, their
-    objective and how the run stopped; the caller grades the values."""
-    t0 = time.perf_counter()
+    objective and how the run stopped; the caller grades the values and
+    times the run."""
     bounds = [(p.lo, p.hi) for p in spec.free]
     inf_candidates = 0
 
@@ -192,7 +190,6 @@ def fit_de(dataset: ConcentrationSeries, spec: EstimationSpec,
 
     best_x, best_f, gens = differential_evolution(objective, bounds, cfg)
     return EstimationResult(names=spec.names, values=best_x, objective=best_f,
-                            wall_seconds=time.perf_counter() - t0,
                             generations=gens,
                             stop_reason=("stagnation" if gens < cfg.generations
                                          else "budget"),

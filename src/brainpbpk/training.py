@@ -44,7 +44,6 @@ through ``model.rates`` and back-propagates through its exact Jacobian.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -408,9 +407,9 @@ def train(dataset: ConcentrationSeries, spec: EstimationSpec,
     whether the stage stopped on a failed line search. The network is
     trained in scaled coordinates and returned with the scales folded in:
     it maps t / horizon to concentrations. Deterministic under the
-    configured seeds.
+    configured seeds: no clock is read, so equal inputs give equal
+    artifacts; the caller times the run.
     """
-    t_start = time.perf_counter()
     prob = build_problem(dataset, spec, net_cfg, train_cfg)
     net = nn.init_network(net_cfg)
     arrays = net.parameter_arrays()
@@ -420,6 +419,7 @@ def train(dataset: ConcentrationSeries, spec: EstimationSpec,
     raw_at = theta.size - len(spec.free)  # where the raw tail starts
     base_iter = train_cfg.iterations
     done = 0  # optimizer iterations completed, Adam's then L-BFGS's
+    last_comp = ()  # loss components at the last point loss_and_grad scored
     artifacts = RunArtifacts(param_names=spec.names)
 
     def evaluate(x):
@@ -437,7 +437,8 @@ def train(dataset: ConcentrationSeries, spec: EstimationSpec,
         artifacts.log(iteration, *comp, sum(comp), values)
 
     def loss_and_grad(x):
-        total, _, leaves = evaluate(x)
+        nonlocal last_comp
+        total, last_comp, leaves = evaluate(x)
         if not np.isfinite(total.value):
             # an infinite trial loss makes the line search back off
             return math.inf, np.zeros_like(x)
@@ -447,7 +448,8 @@ def train(dataset: ConcentrationSeries, spec: EstimationSpec,
         nonlocal done
         done = base_iter + it
         if it % train_cfg.log_stride == 0:
-            log(done, evaluate(x)[1], x)
+            # x is the accepted trial point, the last one loss_and_grad scored
+            log(done, last_comp, x)
 
     adam = AdamState(theta)
     # an overflow is named by the loss cap, the line search's inf or
@@ -482,5 +484,4 @@ def train(dataset: ConcentrationSeries, spec: EstimationSpec,
         prob.horizon, prob.peak)
     final_spec = replace(spec, free=[replace(p, raw=float(r))
                                      for p, r in zip(spec.free, theta[raw_at:])])
-    artifacts.wall_seconds = time.perf_counter() - t_start
     return final_net, final_spec, artifacts

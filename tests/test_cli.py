@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ import brainpbpk
 
 from brainpbpk.cli import main
 from brainpbpk.dataio import ConcentrationSeries, read_series, write_series
+from brainpbpk.training import DEFAULT_FREE
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +188,37 @@ class TestTrain:
         assert len(runs[0]) == 5
         assert runs[0] == runs[1]
 
+    def test_lbfgs_log_every_step_pinned(self, tmp_path):
+        # logging every L-BFGS step records the components of each accepted
+        # point; SHA-256 of both logs, pinned to the bit
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--points", "60", "--out", str(sim)]) == 0
+        assert main(["train", "--data", str(sim / "dataset.csv"),
+                     "--layers", "2", "--neurons", "8", "--iters", "20",
+                     "--lbfgs-iters", "6", "--log-stride", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+        digests = {name: hashlib.sha256(
+            (tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in ("loss_history.csv", "trajectory.csv")}
+        assert digests == {
+            "loss_history.csv": "59b9ded12b8b55487a89fd0d502fef02"
+                                "dcea47dad7234b44ccf0ea8ee009e109",
+            "trajectory.csv": "8b706d333617e8e494865c6d17c59f79"
+                              "a8c9079dc7f626fa4ce934cd8b1f6cac"}
+
+    def test_divergence_exit(self, dataset_dir, tmp_path, capsys):
+        # the logs up to the diverging step are written; no network or
+        # summary claims an estimate
+        rc = main(["train", "--data", str(dataset_dir / "dataset.csv"),
+                   "--layers", "1", "--neurons", "4", "--iters", "5",
+                   "--lbfgs-iters", "0", "--lr", "1e200",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "loss_history.csv", "trajectory.csv"]
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "error: training aborted: iteration 1: loss diverged")
+
     def test_reports_lbfgs_stop(self, dataset_dir, tmp_path, capsys):
         assert main(["train", "--data", str(dataset_dir / "dataset.csv"),
                      "--layers", "1", "--neurons", "4", "--iters", "5",
@@ -351,6 +385,23 @@ class TestSweep:
             cell = line.split(",")[2]
             assert cell == "diverged" or "(" in cell
 
+    def test_cells_do_not_depend_on_jobs(self, dataset_dir, tmp_path):
+        # one worker or two: every cell trains the same; only the seconds
+        # in parentheses may differ
+        losses = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main(["sweep", "--data", str(dataset_dir / "dataset.csv"),
+                         "--activations", "tanh,relu", "--layers", "1",
+                         "--neurons", "2,3", "--iters", "20",
+                         "--jobs", jobs, "--out", str(out)]) == 0
+            with open(out / "sweep.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            losses.append([[cell.split(" (")[0] for cell in row]
+                           for row in rows])
+        assert len(losses[0]) == 3 and len(losses[0][1]) == 4
+        assert losses[0] == losses[1]
+
     def test_malformed_dataset_is_an_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")
@@ -419,6 +470,28 @@ class TestCompare:
         assert lines[1].startswith("Vbb,0.064952435")
         for c in ("Cbb", "Cbm", "Cccsf", "Cscsf"):
             assert (comp / f"compare_{c}.svg").exists()
+
+    def test_pinn_against_de(self, dataset_dir, tmp_path):
+        # the paper's comparison: a PINN summary beside a DE summary
+        data = str(dataset_dir / "dataset.csv")
+        assert main(["train", "--data", data, "--layers", "1",
+                     "--neurons", "4", "--iters", "5", "--lbfgs-iters", "1",
+                     "--out", str(tmp_path / "pinn")]) == 0
+        assert main(["fit-de", "--data", data, "--generations", "2",
+                     "--out", str(tmp_path / "de")]) == 0
+        comp = tmp_path / "cmp"
+        assert main(["compare", "--results",
+                     str(tmp_path / "pinn" / "summary.json"),
+                     str(tmp_path / "de" / "summary.json"),
+                     "--data", data, "--out", str(comp)]) == 0
+        with open(comp / "compare.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["parameter", "reference", "PINN", "|PINN_err|",
+                           "DE", "|DE_err|"]
+        assert [row[0] for row in rows[1:]] == list(DEFAULT_FREE)
+        assert all(cell for row in rows[1:] for cell in row)
+        for c in ("Cbb", "Cbm", "Cccsf", "Cscsf"):
+            ET.parse(comp / f"compare_{c}.svg")
 
     def test_label_with_comma_and_quote(self, tmp_path):
         # a label is a cell of its own, quoted; a missing value is empty
