@@ -4,9 +4,11 @@ A minimal tape: every operation creates a ``Var`` holding its value, its
 parents, and a closure that pushes the adjoint back to them. ``backward``
 runs one reverse topological sweep. Values are scalars or ndarrays and
 broadcasting follows numpy semantics (adjoints are sum-reduced back to the
-parent's shape). The operators are the ones the PINN loss records: ``+``,
-``-``, ``*`` (also with an ndarray or float on the left), ``**`` by a
-constant, ``@`` of 2-D arrays, indexing and ``sum``.
+parent's shape). The operators are ``+``, ``-``, ``*`` (also with an
+ndarray or float on the left), ``**`` by a constant, ``@`` of 2-D arrays,
+indexing and ``sum``: the training loss records none of them, and they
+serve the per-op oracles in the tests, against which the loss and network
+nodes are checked bit for bit.
 
 Adjoints are allocated lazily: a node's ``.grad`` is None until its first
 contribution arrives, which becomes the adjoint as is (later ones are
@@ -22,9 +24,11 @@ one node that ``network.forward_dual_tape`` records for the whole dual
 pass (op ``"network"``): its parents are the weight and bias leaves, and
 its backward closure is the network's reverse pass written out, returning
 one adjoint per parent. The input time is a constant of that node and
-gets no adjoint. The node is swept like any other, so one reverse sweep
-differentiates through dY/dt, giving exact parameter gradients of losses
-that involve it.
+gets no adjoint. The training loss is one more node on top of it (op
+``"loss"``, ``training._composite_loss``), whose parents are the network
+node and the raw free parameters. Both are swept like any other node, so
+one reverse sweep differentiates through dY/dt, giving exact parameter
+gradients of losses that involve it.
 """
 from __future__ import annotations
 

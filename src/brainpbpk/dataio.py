@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from html import escape
 from itertools import filterfalse
 
@@ -146,6 +147,13 @@ class ConcentrationSeries:
         return self.conc
 
     def plasma_profile(self) -> PlasmaProfile:
+        """The plasma column as the forcing profile, checked and built on
+        the first call and kept for the next; a bad column raises on
+        every call."""
+        return self._plasma_profile
+
+    @cached_property
+    def _plasma_profile(self) -> PlasmaProfile:
         if self.plasma is None:
             raise MissingColumn("Cplasma")
         return PlasmaProfile(self.times, self.plasma)

@@ -154,16 +154,16 @@ def forward_with_time_derivative(net: Network, t_hat):
 
 def forward_dual_tape(cfg: NetworkConfig, weights: list[Var],
                       biases: list[Var], t_hat):
-    """Tape version of the dual forward pass: returns (Y, dY/dt_hat) as
-    Vars, so the reverse sweep differentiates through the time derivative.
+    """Tape version of the dual forward pass: one node (op ``"network"``)
+    whose value stacks Y over dY/dt_hat, shape (8, N), so the reverse
+    sweep differentiates through the time derivative.
 
-    Both are views of one node (op ``"network"``) whose value stacks Y
-    over dY/dt_hat, shape (8, N). From the adjoints of a layer's z and
-    zdot, its reverse pass forms gW = g_z x^T + g_zd xdot^T (x, xdot the
-    layer's input) and gb = sum of g_z over the times, then the adjoints
-    gx = W^T g_z and gxd = W^T g_zd of the layer below, whose z and zdot
-    get g_z = gx f' + gxd f''(f') zdot and g_zd = gxd f'. The first
-    layer's input is the constant time, which gets no adjoint."""
+    From the adjoints of a layer's z and zdot, its reverse pass forms
+    gW = g_z x^T + g_zd xdot^T (x, xdot the layer's input) and gb = sum of
+    g_z over the times, then the adjoints gx = W^T g_z and gxd = W^T g_zd
+    of the layer below, whose z and zdot get g_z = gx f' + gxd f''(f') zdot
+    and g_zd = gxd f'. The first layer's input is the constant time, which
+    gets no adjoint."""
     Ws = [W.value for W in weights]
     y, ydot, saved = _dual_pass(cfg.activation, Ws,
                                 [b.value for b in biases], t_hat)
@@ -182,9 +182,8 @@ def forward_dual_tape(cfg: NetworkConfig, weights: list[Var],
                 g_z = gx * d1 + gxd * f2(d1) * zdot
         return gW[::-1] + gb[::-1]
 
-    out = Var(np.concatenate([y, ydot]), tuple(weights) + tuple(biases),
-              back, op="network")
-    return out[:4], out[4:]
+    return Var(np.concatenate([y, ydot]), tuple(weights) + tuple(biases),
+               back, op="network")
 
 
 def fold_scales(net: Network, input_scale: float, output_scale) -> Network:

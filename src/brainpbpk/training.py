@@ -38,8 +38,15 @@ with V the volumes, U the (4, N) network output and P = diag(peak),
 
     R = diag(V) P dU/dt - M P U - q Cart(t)^T.
 
-One tape node (``_rate_node``) maps the raw free parameters to V, M and q
-through ``model.rates`` and back-propagates through its exact Jacobian.
+The whole loss is one tape node (op ``"loss"``) whose parents are the
+network's dual-pass node and the raw leaves; its reverse pass is written
+out in the order a tape of one node per operation would take, so every
+gradient keeps its bits. G = [M | q | V] comes from ``model.rates`` with
+its exact Jacobian dG/dv. ``build_problem`` takes dG/dv by complex step at
+two corners of the box: when they agree, G is affine in the free values
+(true of the default set) and each evaluation makes one real ``rates``
+call; otherwise every evaluation takes G and dG/dv from one complex-step
+batch. The chain through the sigmoid bound is applied analytically.
 """
 from __future__ import annotations
 
@@ -179,7 +186,8 @@ class _Problem:
     (hours) are both the data and the collocation times; observations are
     divided by ``peak``. ``w_data`` = w_data / N and ``w_ic`` = w_ic are
     the weights of the data and IC terms, and ``w_ode`` is the (4, 1)
-    column w_ode / (N * ode_scale^2)."""
+    column w_ode / (N * ode_scale^2). ``dG_dv`` is the (n, 24) Jacobian of
+    ``_rates_at`` in the free values when it is constant, else None."""
 
     cfg: nn.NetworkConfig
     spec: EstimationSpec
@@ -193,63 +201,92 @@ class _Problem:
     w_data: float
     w_ic: float
     w_ode: np.ndarray
+    dG_dv: np.ndarray | None
 
 
-# imaginary step of the complex-step derivative in ``_rate_node``
+# imaginary step of the complex-step derivative in ``_complex_step``
 _COMPLEX_STEP = 1e-30
 
 
-def _rate_node(spec: EstimationSpec, raw_vars) -> Var:
-    """One tape node from the raw free parameters to the (4, 6) array
-    G = [M | q | V] of ``model.rates``: the amount-rate matrix M, the
+def _rates_at(spec: EstimationSpec, columns) -> np.ndarray:
+    """The (..., 4, 6) array G = [M | q | V] of ``model.rates`` with free
+    parameter i set to ``columns[i]``: the amount-rate matrix M, the
     forcing coefficients q and the volumes V, so that
-    V * dC/dt = M C + q Cart.
+    V * dC/dt = M C + q Cart. Array columns skip the range checks of
+    ``substitute``, as the sigmoid bound keeps training inside the box."""
+    M, q, V = rates(*substitute(spec.base_sys, spec.base_drug,
+                                dict(zip(spec.names, columns))))
+    return np.concatenate([M, q[..., None], V[..., None]], axis=-1)
 
-    G comes from one ``rates`` call on a complex batch: row 0 holds the
-    constrained parameter values and row 1 + i adds an imaginary step to
-    free parameter i, whose imaginary part is then the exact derivative
-    (complex-step differentiation takes no difference, so nothing
-    cancels). The chain through the sigmoid bound is applied
-    analytically."""
-    free, n = spec.free, len(spec.free)
-    values, slopes = _sigmoid_bound(free, [r.item() for r in raw_vars])
-    # (1 + n, n): row 0 the values, row 1 + i steps parameter i
+
+def _complex_step(spec: EstimationSpec, values: np.ndarray):
+    """(G, dG/dv) at the free values ``values``: G of ``_rates_at`` and its
+    exact Jacobian, flattened to (n, 24), from one ``rates`` call on a
+    complex batch. Row 0 of the batch holds the values and row 1 + i adds
+    an imaginary step to free parameter i, whose imaginary part is then the
+    derivative (complex-step differentiation takes no difference, so
+    nothing cancels)."""
+    n = len(values)
     batch = values + 1j * _COMPLEX_STEP * np.eye(1 + n, n, -1)
-    M, q, V = rates(*substitute(
-        spec.base_sys, spec.base_drug,
-        {p.name: batch[:, i, None] for i, p in enumerate(free)}))
-    G = np.concatenate([M, q[..., None], V[..., None]], axis=-1)
-    # d G / d raw_i, flattened to (n, 24)
-    jac = (G[1:].imag / _COMPLEX_STEP).reshape(n, 24) * slopes[:, None]
+    G = _rates_at(spec, batch.T[..., None])
+    return G[0].real, (G[1:].imag / _COMPLEX_STEP).reshape(n, 24)
 
-    def back(g):
-        return tuple(jac @ np.ravel(g))
-    return Var(G[0].real, tuple(raw_vars), back, op="rates")
+
+def _rate_terms(prob: _Problem, raw: list[float]):
+    """(G, dG/draw) at the raw free values ``raw``: the chain through the
+    sigmoid bound is applied to dG/dv analytically. A free set whose G is
+    affine in the values (``prob.dG_dv`` set) needs one real ``rates``
+    call; any other takes the complex-step batch."""
+    values, slopes = _sigmoid_bound(prob.spec.free, raw)
+    if prob.dG_dv is None:
+        G, dG_dv = _complex_step(prob.spec, values)
+    else:
+        G, dG_dv = _rates_at(prob.spec, values[:, None]), prob.dG_dv
+    return G, dG_dv * slopes[:, None]
 
 
 def _composite_loss(prob: _Problem, weight_vars, bias_vars, raw_vars):
-    """Build the full loss graph in scaled coordinates (see the module
-    docstring); returns (total Var, component floats). One dual forward
-    pass gives the network values for the data and IC terms and the time
-    derivatives for the ODE residual, which is skipped when the ODE weight
+    """The full loss in scaled coordinates (see the module docstring) as
+    one tape node (op ``"loss"``) over the network's dual-pass node and
+    the raw leaves; returns (total Var, component floats). The ODE
+    residual, and with it the raw leaves, is skipped when the ODE weight
     is zero. Each term is one weighted sum over a (4, N) array, with the
     1/N of the means (and the ODE scales) folded into the weights."""
-    U, Udot = nn.forward_dual_tape(prob.cfg, weight_vars, bias_vars, prob.times)
-    l_data = (prob.w_data * (U - prob.obs_u) ** 2).sum()
-    l_ic = (prob.w_ic * (U[:, :1] - prob.y0_u) ** 2).sum()
+    net = nn.forward_dual_tape(prob.cfg, weight_vars, bias_vars, prob.times)
+    U, Udot = net.value[:4], net.value[4:]
+    d_data = U - prob.obs_u
+    d_ic = U[:, :1] - prob.y0_u
+    l_data = (prob.w_data * d_data ** 2).sum()
+    l_ic = (prob.w_ic * d_ic ** 2).sum()
+    ode = bool(np.any(prob.w_ode))
     l_ode = 0.0
-    if np.any(prob.w_ode):
-        G = _rate_node(prob.spec, raw_vars)
-        # one constant node for both products
-        peak = Var(prob.peak[:, None], op="const")
-        resid = (G[:, 5:] * (Udot * peak) - G[:, :4] @ (U * peak)
-                 - G[:, 4:5] * prob.cart)
+    if ode:
+        G, jac = _rate_terms(prob, [r.item() for r in raw_vars])
+        peak = prob.peak[:, None]
+        G4, UP, UdP = G[:, :4], U * peak, Udot * peak
+        resid = G[:, 5:] * UdP - G4 @ UP - G[:, 4:5] * prob.cart
         l_ode = (prob.w_ode * resid ** 2).sum()
 
-    total = l_data + l_ode + l_ic
-    comp = tuple(x.item() if isinstance(x, Var) else float(x)
-                 for x in (l_data, l_ode, l_ic))
-    return total, comp
+    def back(g):
+        # the per-op tape's order of operations, so every bit is kept
+        g_U = g * prob.w_data * 2 * d_data
+        g_Udot, g_raw = np.zeros_like(g_U), ()
+        if ode:
+            g_r = g * prob.w_ode * 2 * resid
+            neg = -g_r
+            g_G = np.empty((4, 6))
+            g_G[:, 5:] = (g_r * UdP).sum(axis=1, keepdims=True)
+            g_G[:, :4] = neg @ UP.T
+            g_G[:, 4:5] = (neg * prob.cart).sum(axis=1, keepdims=True)
+            g_U += (G4.T @ neg) * peak
+            g_Udot = (g_r * G[:, 5:]) * peak
+            g_raw = tuple(jac @ g_G.ravel())
+        g_U[:, :1] += g * prob.w_ic * 2 * d_ic
+        return (np.concatenate([g_U, g_Udot]), *g_raw)
+
+    total = Var(l_data + l_ode + l_ic, (net, *raw_vars) if ode else (net,),
+                back, op="loss")
+    return total, (float(l_data), float(l_ode), float(l_ic))
 
 
 def _positive_or_one(x: np.ndarray) -> np.ndarray:
@@ -262,7 +299,11 @@ def build_problem(dataset: ConcentrationSeries, spec: EstimationSpec,
     docstring. A scale that would be zero (a compartment never observed
     above zero, or one without outflow) is replaced by 1. Raises
     ValueError if a free parameter's box leaves its valid range, which the
-    sigmoid bound would otherwise let training reach."""
+    sigmoid bound would otherwise let training reach.
+
+    dG/dv is taken at the all-lo and the all-hi corner of the box; when the
+    two agree bit for bit, G is affine in the free values and the Jacobian
+    is kept for every step."""
     spec.check_bounds()
     plasma = dataset.plasma_profile()
     times = dataset.times
@@ -273,12 +314,15 @@ def build_problem(dataset: ConcentrationSeries, spec: EstimationSpec,
     outflow = -np.diag(M)
     ode_scale = peak * _positive_or_one(outflow)
     w, n = train_cfg.weights, len(times)
+    box = np.array([[p.lo, p.hi] for p in spec.free])
+    jac_lo, jac_hi = (_complex_step(spec, end)[1] for end in box.T)
     return _Problem(
         cfg=net_cfg, spec=spec, horizon=float(times[-1]), times=times,
         obs_u=obs / peak[:, None], y0_u=(obs[:, 0] / peak)[:, None],
         cart=plasma.values, peak=peak, ode_scale=ode_scale,
         w_data=w.data / n, w_ic=w.ic,
-        w_ode=(w.ode / (n * ode_scale ** 2))[:, None])
+        w_ode=(w.ode / (n * ode_scale ** 2))[:, None],
+        dG_dv=jac_lo if jac_lo.tobytes() == jac_hi.tobytes() else None)
 
 
 # -- optimizers --------------------------------------------------------------

@@ -358,6 +358,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             PlasmaProfile(np.array([0.0]), np.array([1.0]))
 
+    def test_series_plasma_profile_built_once_and_checked(self):
+        conc = np.zeros((4, 2))
+        series = ConcentrationSeries([0.0, 1.0], conc, plasma=[1.0, 2.0])
+        assert series.plasma_profile() is series.plasma_profile()
+        # a negative value raises on every call, as nothing is kept
+        bad = ConcentrationSeries([0.0, 1.0], conc, plasma=[1.0, -1.0])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                bad.plasma_profile()
+
     def test_series_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             ConcentrationSeries([0, 1], [[0, np.nan], [0, 0], [0, 0], [0, 0]])

@@ -9,7 +9,7 @@ from brainpbpk import training
 from brainpbpk.autodiff import Var, grad
 from brainpbpk.dataio import linear_interp
 from brainpbpk.defit import DEConfig, fit_de
-from brainpbpk.model import influx_terms, volumes
+from brainpbpk.model import influx_terms, rates, volumes
 from brainpbpk.params import (DrugParams, SystemParams, reference_value,
                               substitute)
 from brainpbpk.solvers import synthesize_dataset
@@ -188,17 +188,62 @@ class TestReferenceLosses:
 FREE_SETS = [DEFAULT_FREE, ("Qbrain", "PSB", "lam_bb", "fubb", "CLCin", "Vscsf")]
 
 
+# raw values away from 0, where a Jacobian cached for a free set that is not
+# affine in its values would be wrong (at raw = 0 it is still exact)
+RAW_OFF_CENTRE = (0.7, -1.1, 0.9, 1.3, -0.4, 0.5)
+
+
+# -- the loss recorded op by op: the oracle of the one loss node -------------
+
+def _oracle_rate_node(spec, raw_vars):
+    """One tape node from the raw free parameters to G = [M | q | V] of
+    ``model.rates``, with its Jacobian from a complex-step batch at every
+    call."""
+    free, n, step = spec.free, len(spec.free), 1e-30
+    values, slopes = training._sigmoid_bound(free, [r.item() for r in raw_vars])
+    batch = values + 1j * step * np.eye(1 + n, n, -1)
+    M, q, V = rates(*substitute(
+        spec.base_sys, spec.base_drug,
+        {p.name: batch[:, i, None] for i, p in enumerate(free)}))
+    G = np.concatenate([M, q[..., None], V[..., None]], axis=-1)
+    jac = (G[1:].imag / step).reshape(n, 24) * slopes[:, None]
+    return Var(G[0].real, tuple(raw_vars),
+               lambda g: tuple(jac @ np.ravel(g)), op="rates")
+
+
+def oracle_loss(prob, weight_vars, bias_vars, raw_vars):
+    """(total Var, component floats) of ``_composite_loss`` with every
+    subtraction, square, product and sum its own tape node."""
+    out = nn.forward_dual_tape(prob.cfg, weight_vars, bias_vars, prob.times)
+    U, Udot = out[:4], out[4:]
+    l_data = (prob.w_data * (U - prob.obs_u) ** 2).sum()
+    l_ic = (prob.w_ic * (U[:, :1] - prob.y0_u) ** 2).sum()
+    l_ode = 0.0
+    if np.any(prob.w_ode):
+        G = _oracle_rate_node(prob.spec, raw_vars)
+        peak = Var(prob.peak[:, None], op="const")
+        resid = (G[:, 5:] * (Udot * peak) - G[:, :4] @ (U * peak)
+                 - G[:, 4:5] * prob.cart)
+        l_ode = (prob.w_ode * resid ** 2).sum()
+    total = l_data + l_ode + l_ic
+    comp = tuple(x.item() if isinstance(x, Var) else float(x)
+                 for x in (l_data, l_ode, l_ic))
+    return total, comp
+
+
 class TestCompositeLoss:
-    def build(self, weights=None, n=10, free_names=DEFAULT_FREE):
+    def build(self, weights=None, n=10, free_names=DEFAULT_FREE,
+              activation="tanh", raw=None):
         ds = small_dataset(n)
         spec = default_estimation_spec(free_names)
-        cfg = nn.NetworkConfig(hidden_layers=2, neurons=6, seed=0)
+        cfg = nn.NetworkConfig(hidden_layers=2, neurons=6,
+                               activation=activation, seed=0)
         tc = TrainConfig(weights=weights or LossWeights())
         prob = build_problem(ds, spec, cfg, tc)
         net = nn.init_network(cfg)
         ws = [Var(w) for w in net.weights]
         bs = [Var(b) for b in net.biases]
-        rs = [Var(np.asarray(0.0)) for _ in spec.free]
+        rs = [Var(np.asarray(r)) for r in raw or [0.0] * len(spec.free)]
         return prob, net, spec, ds, ws, bs, rs
 
     @staticmethod
@@ -279,14 +324,18 @@ class TestCompositeLoss:
                           TrainConfig())
 
     def test_gradient_matches_finite_differences(self):
-        for free_names in FREE_SETS:
-            prob, _, _, _, ws, bs, rs = self.build(n=8, free_names=free_names)
+        # the second free set is not affine in its values, so its rate
+        # Jacobian moves with raw: it is checked away from raw = 0 too
+        for free_names, raw in ((FREE_SETS[0], None), (FREE_SETS[1], None),
+                                (FREE_SETS[1], RAW_OFF_CENTRE)):
+            prob, _, _, _, ws, bs, rs = self.build(n=8, free_names=free_names,
+                                                   raw=raw)
             total, _ = _composite_loss(prob, ws, bs, rs)
             gs = grad(total, ws + bs + rs)
 
             def value(raw_shift, which):
-                rs2 = [Var(np.asarray(raw_shift if i == which else 0.0))
-                       for i in range(len(rs))]
+                rs2 = [Var(r.value + (raw_shift if i == which else 0.0))
+                       for i, r in enumerate(rs)]
                 t2, _ = _composite_loss(prob, [Var(w.value) for w in ws],
                                         [Var(b.value) for b in bs], rs2)
                 return t2.item()
@@ -297,7 +346,45 @@ class TestCompositeLoss:
                 # central differences lose accuracy when the component is
                 # tiny relative to the total loss, hence the absolute floor
                 assert gs[len(ws) + len(bs) + i] == \
-                    pytest.approx(fd, rel=1e-4, abs=1e-6), (free_names, i)
+                    pytest.approx(fd, rel=1e-4, abs=1e-6), (free_names, raw, i)
+
+    @pytest.mark.parametrize("raw", [None, RAW_OFF_CENTRE],
+                             ids=["raw0", "raw-off-centre"])
+    @pytest.mark.parametrize("weights", [
+        LossWeights(), LossWeights(ode=0.0), LossWeights(ic=0.0),
+        LossWeights(data=0.0)], ids=["default", "ode0", "ic0", "data0"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("free_set", [0, 1])
+    def test_matches_per_op_oracle_bitwise(self, free_set, activation,
+                                           weights, raw):
+        got, want = [], []
+        for loss, out in ((_composite_loss, got), (oracle_loss, want)):
+            prob, _, _, _, ws, bs, rs = self.build(
+                weights=weights, free_names=FREE_SETS[free_set],
+                activation=activation, raw=raw)
+            # with zero biases U(0) is the observed 0 and the IC term sends
+            # no adjoint; these make the order of the sums show in the bits
+            rng = np.random.default_rng(7)
+            for b in bs:
+                b.value += rng.normal(0.0, 0.3, b.shape)
+            total, comp = loss(prob, ws, bs, rs)
+            out += [total.value, *comp, *grad(total, ws + bs + rs)]
+        assert len(got) == len(want) == 4 + 6 + 6
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_one_node_over_the_network_and_raw_values(self):
+        prob, _, _, _, ws, bs, rs = self.build()
+        node, _ = _composite_loss(prob, ws, bs, rs)
+        assert node.op == "loss" and node.parents[0].op == "network"
+        assert node.parents[1:] == tuple(rs)
+
+    def test_rate_jacobian_kept_only_when_constant(self):
+        # every rate term of the default set is linear in its free values;
+        # the second set multiplies PSB, lam_bb and fubb together
+        for free_names, constant in zip(FREE_SETS, (True, False)):
+            prob = self.build(free_names=free_names)[0]
+            assert (prob.dG_dv is not None) == constant
 
     def test_zero_ode_weight_skips_residual(self):
         w = LossWeights(ode=0.0)
