@@ -21,14 +21,14 @@ that produced the first non-finite adjoint (``NonFiniteGradient.op``).
 
 The tape has no elementwise functions. A network's Y and dY/dt come from
 one node that ``network.forward_dual_tape`` records for the whole dual
-pass (op ``"network"``): its parents are the weight and bias leaves, and
-its backward closure is the network's reverse pass written out, returning
-one adjoint per parent. The input time is a constant of that node and
-gets no adjoint. The training loss is one more node on top of it (op
-``"loss"``, ``training._composite_loss``), whose parents are the network
-node and the raw free parameters. Both are swept like any other node, so
-one reverse sweep differentiates through dY/dt, giving exact parameter
-gradients of losses that involve it.
+pass (op ``"network"``): its parent is the leaf of the network's flat
+parameter vector, and its backward closure is the network's reverse pass
+written out, returning the flat adjoint; the input time gets none. The
+training loss is one more node on top of it (op ``"loss"``,
+``training._composite_loss``), whose parents are the network node and the
+leaf of the raw free values: four nodes in all. Both are swept like any
+other node, so one reverse sweep differentiates through dY/dt, giving
+exact parameter gradients of losses that involve it.
 """
 from __future__ import annotations
 

@@ -319,7 +319,8 @@ def cmd_sweep(args) -> int:
               train_cfg)
              for L, act in rows for N in neuron_counts]
     out = _outdir(args.out)
-    with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
+    jobs = min(args.jobs, len(cells))  # a fork pool starts all workers at once
+    with concurrent.futures.ProcessPoolExecutor(jobs) as pool:
         results = list(pool.map(_sweep_cell, cells))
 
     # results come in the order of cells: one row's cells are consecutive

@@ -12,9 +12,9 @@ together. Two paths call it:
 * ``forward_with_time_derivative`` for prediction and testing
   (``forward`` is its Y), and
 * ``forward_dual_tape`` for training, where the whole pass is one autodiff
-  node (op ``"network"``) whose parents are the weight and bias leaves.
-  Its reverse pass reads the one record per layer that ``_dual_pass``
-  saved, and gives no adjoint to the constant input time.
+  node (op ``"network"``) whose parent is the flat parameter leaf (see
+  ``layer_views``). Its reverse pass reads the one record per layer that
+  ``_dual_pass`` saved, and gives no adjoint to the constant input time.
 
 So Y and dY/dt agree bit for bit between the two paths, and the node's
 parameter adjoints are those of a tape that records every matmul, add and
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -77,20 +78,32 @@ class Network:
                        [b.copy() for b in self.biases])
 
 
+def layer_views(cfg: NetworkConfig, flat: np.ndarray | None = None):
+    """(weights, biases) of the network ``cfg``, views of its flat parameter
+    vector ``flat`` (new zeros if None) in ``Network.parameter_arrays``
+    order: the (fan_out, fan_in) weights, then the biases, each in C order."""
+    dims = [1] + [cfg.neurons] * cfg.hidden_layers + [4]
+    shapes = [*zip(dims[1:], dims[:-1])] + [(m, 1) for m in dims[1:]]
+    ends = list(accumulate(m * n for m, n in shapes))
+    flat = np.zeros(ends[-1]) if flat is None else flat
+    if ends[-1] != flat.size:
+        raise ValueError(f"{flat.size} parameters for a network of {ends[-1]}")
+    views = [flat[e - m * n:e].reshape(m, n) for (m, n), e in zip(shapes, ends)]
+    return views[:len(dims) - 1], views[len(dims) - 1:]
+
+
 def init_network(cfg: NetworkConfig) -> Network:
     """Glorot-initialized weights, zero biases, deterministic under seed."""
     rng = np.random.default_rng(cfg.seed)
-    dims = [1] + [cfg.neurons] * cfg.hidden_layers + [4]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    weights, biases = layer_views(cfg)
+    for W in weights:
+        fan_out, fan_in = W.shape
         if cfg.initializer == "glorot-uniform":
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            W = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+            W[...] = rng.uniform(-limit, limit, size=W.shape)
         else:
             sd = np.sqrt(2.0 / (fan_in + fan_out))
-            W = rng.normal(0.0, sd, size=(fan_out, fan_in))
-        weights.append(W)
-        biases.append(np.zeros((fan_out, 1)))
+            W[...] = rng.normal(0.0, sd, size=W.shape)
     return Network(cfg, weights, biases)
 
 
@@ -152,21 +165,20 @@ def forward_with_time_derivative(net: Network, t_hat):
 
 # -- tape evaluation ---------------------------------------------------------
 
-def forward_dual_tape(cfg: NetworkConfig, weights: list[Var],
-                      biases: list[Var], t_hat):
+def forward_dual_tape(cfg: NetworkConfig, params: Var, t_hat):
     """Tape version of the dual forward pass: one node (op ``"network"``)
-    whose value stacks Y over dY/dt_hat, shape (8, N), so the reverse
-    sweep differentiates through the time derivative.
+    over the flat parameter leaf ``params``, whose value stacks Y over
+    dY/dt_hat, shape (8, N), so the sweep differentiates through dY/dt.
 
     From the adjoints of a layer's z and zdot, its reverse pass forms
     gW = g_z x^T + g_zd xdot^T (x, xdot the layer's input) and gb = sum of
     g_z over the times, then the adjoints gx = W^T g_z and gxd = W^T g_zd
     of the layer below, whose z and zdot get g_z = gx f' + gxd f''(f') zdot
-    and g_zd = gxd f'. The first layer's input is the constant time, which
-    gets no adjoint."""
-    Ws = [W.value for W in weights]
-    y, ydot, saved = _dual_pass(cfg.activation, Ws,
-                                [b.value for b in biases], t_hat)
+    and g_zd = gxd f'. The adjoint of ``params`` is every gW, then every gb,
+    in layer order. The first layer's input is the constant time, which gets
+    no adjoint."""
+    Ws, bs = layer_views(cfg, params.value)
+    y, ydot, saved = _dual_pass(cfg.activation, Ws, bs, t_hat)
 
     def back(g):
         # from the output layer down, one saved record per layer
@@ -180,10 +192,11 @@ def forward_dual_tape(cfg: NetworkConfig, weights: list[Var],
                 gx, gxd = W.T @ g_z, W.T @ g_zd
                 g_zd = gxd * d1
                 g_z = gx * d1 + gxd * f2(d1) * zdot
-        return gW[::-1] + gb[::-1]
+        # the flat adjoint is made last: one taken before the layers' arrays
+        # makes glibc shrink and regrow the heap at every training step
+        return (np.concatenate(gW[::-1] + gb[::-1], axis=None),)
 
-    return Var(np.concatenate([y, ydot]), tuple(weights) + tuple(biases),
-               back, op="network")
+    return Var(np.concatenate([y, ydot]), (params,), back, op="network")
 
 
 def fold_scales(net: Network, input_scale: float, output_scale) -> Network:

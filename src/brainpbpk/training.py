@@ -4,10 +4,10 @@ Free physical parameters are trained through a sigmoid bounding transform
 (value = lo + (hi - lo) * sigmoid(raw)), so they stay inside their bounds
 at every iteration. Network weights, biases, and the raw parameter values
 are updated jointly by full-batch Adam, optionally followed by an L-BFGS
-refinement stage. Both work on one flat float64 vector theta: the weight
-matrices in layer order, then the bias columns, then the raw values in the
-order of ``EstimationSpec.free``, each array flattened in C order. The tape
-leaves are views of theta (or of an L-BFGS trial point).
+refinement stage. Both work on one flat float64 vector theta: the
+network's flat parameter vector (``network.layer_views``), then the raw
+values in the order of ``EstimationSpec.free``. The tape has two leaves,
+views of those two parts of theta (or of an L-BFGS trial point).
 
 The loss is nondimensionalized with scales fixed once per problem by
 ``build_problem``, from the dataset and the bound midpoints only:
@@ -39,14 +39,15 @@ with V the volumes, U the (4, N) network output and P = diag(peak),
     R = diag(V) P dU/dt - M P U - q Cart(t)^T.
 
 The whole loss is one tape node (op ``"loss"``) whose parents are the
-network's dual-pass node and the raw leaves; its reverse pass is written
-out in the order a tape of one node per operation would take, so every
-gradient keeps its bits. G = [M | q | V] comes from ``model.rates`` with
-its exact Jacobian dG/dv. ``build_problem`` takes dG/dv by complex step at
-two corners of the box: when they agree, G is affine in the free values
-(true of the default set) and each evaluation makes one real ``rates``
-call; otherwise every evaluation takes G and dG/dv from one complex-step
-batch. The chain through the sigmoid bound is applied analytically.
+network's dual-pass node (over the network's leaf) and the raw leaf; its
+reverse pass is written out in the order a tape of one node per operation
+would take, so every gradient keeps its bits. G = [M | q | V] comes from
+``model.rates`` with its exact Jacobian dG/dv. ``build_problem`` takes
+dG/dv by complex step at two corners of the box: when they agree, G is
+affine in the free values (true of the default set) and each evaluation
+makes one real ``rates`` call; otherwise every evaluation takes G and dG/dv
+from one complex-step batch. The chain through the sigmoid bound is applied
+analytically.
 """
 from __future__ import annotations
 
@@ -85,12 +86,10 @@ class BoundedParam:
             raise ValueError(f"{self.name}: bounds must be finite, lo < hi")
 
 
-def _sigmoid_bound(free, raw):
-    """(values, d values / d raw) of lo + (hi - lo) * sigmoid(raw) for the
-    bounded parameters ``free`` at the raw values ``raw``, elementwise. A
-    raw value below about -709 gives lo instead of overflowing."""
-    lo = np.array([p.lo for p in free])
-    span = np.array([p.hi for p in free]) - lo
+def _sigmoid_bound(lo, span, raw):
+    """(values, d values / d raw) of lo + span * sigmoid(raw) for the boxes
+    [lo, lo + span] at the raw values ``raw``, elementwise. A raw value
+    below about -709 gives lo instead of overflowing."""
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-np.asarray(raw, dtype=float)))
     return lo + span * s, span * s * (1.0 - s)
@@ -98,7 +97,7 @@ def _sigmoid_bound(free, raw):
 
 def constrain(p: BoundedParam) -> float:
     """lo + (hi - lo) * sigmoid(raw), in [lo, hi]."""
-    return _sigmoid_bound([p], [p.raw])[0].item()
+    return _sigmoid_bound(p.lo, p.hi - p.lo, [p.raw])[0].item()
 
 
 @dataclass
@@ -186,21 +185,23 @@ class _Problem:
     (hours) are both the data and the collocation times; observations are
     divided by ``peak``. ``w_data`` = w_data / N and ``w_ic`` = w_ic are
     the weights of the data and IC terms, and ``w_ode`` is the (4, 1)
-    column w_ode / (N * ode_scale^2). ``dG_dv`` is the (n, 24) Jacobian of
-    ``_rates_at`` in the free values when it is constant, else None."""
+    column w_ode / (N * ode_scale^2). The boxes are [lo, lo + span].
+    ``dG_dv`` is the (n, 24) Jacobian of ``_rates_at`` in the free values
+    when it is constant, else None."""
 
     cfg: nn.NetworkConfig
     spec: EstimationSpec
     horizon: float
     times: np.ndarray
     obs_u: np.ndarray
-    y0_u: np.ndarray
     cart: np.ndarray
     peak: np.ndarray
     ode_scale: np.ndarray
     w_data: float
     w_ic: float
     w_ode: np.ndarray
+    lo: np.ndarray
+    span: np.ndarray
     dG_dv: np.ndarray | None
 
 
@@ -232,12 +233,12 @@ def _complex_step(spec: EstimationSpec, values: np.ndarray):
     return G[0].real, (G[1:].imag / _COMPLEX_STEP).reshape(n, 24)
 
 
-def _rate_terms(prob: _Problem, raw: list[float]):
+def _rate_terms(prob: _Problem, raw: np.ndarray):
     """(G, dG/draw) at the raw free values ``raw``: the chain through the
     sigmoid bound is applied to dG/dv analytically. A free set whose G is
     affine in the values (``prob.dG_dv`` set) needs one real ``rates``
     call; any other takes the complex-step batch."""
-    values, slopes = _sigmoid_bound(prob.spec.free, raw)
+    values, slopes = _sigmoid_bound(prob.lo, prob.span, raw)
     if prob.dG_dv is None:
         G, dG_dv = _complex_step(prob.spec, values)
     else:
@@ -245,23 +246,23 @@ def _rate_terms(prob: _Problem, raw: list[float]):
     return G, dG_dv * slopes[:, None]
 
 
-def _composite_loss(prob: _Problem, weight_vars, bias_vars, raw_vars):
+def _composite_loss(prob: _Problem, params: Var, raw: Var):
     """The full loss in scaled coordinates (see the module docstring) as
-    one tape node (op ``"loss"``) over the network's dual-pass node and
-    the raw leaves; returns (total Var, component floats). The ODE
-    residual, and with it the raw leaves, is skipped when the ODE weight
-    is zero. Each term is one weighted sum over a (4, N) array, with the
-    1/N of the means (and the ODE scales) folded into the weights."""
-    net = nn.forward_dual_tape(prob.cfg, weight_vars, bias_vars, prob.times)
+    one tape node (op ``"loss"``) over the network node on the leaf
+    ``params`` and the leaf ``raw`` of the raw values; returns (total Var,
+    component floats). The ODE residual, and with it ``raw``, is skipped
+    when the ODE weight is zero. Each term is one weighted sum over a (4, N)
+    array, with the 1/N of the means (and the ODE scales) in the weights."""
+    net = nn.forward_dual_tape(prob.cfg, params, prob.times)
     U, Udot = net.value[:4], net.value[4:]
     d_data = U - prob.obs_u
-    d_ic = U[:, :1] - prob.y0_u
+    d_ic = U[:, :1] - prob.obs_u[:, :1]
     l_data = (prob.w_data * d_data ** 2).sum()
     l_ic = (prob.w_ic * d_ic ** 2).sum()
     ode = bool(np.any(prob.w_ode))
     l_ode = 0.0
     if ode:
-        G, jac = _rate_terms(prob, [r.item() for r in raw_vars])
+        G, jac = _rate_terms(prob, raw.value)
         peak = prob.peak[:, None]
         G4, UP, UdP = G[:, :4], U * peak, Udot * peak
         resid = G[:, 5:] * UdP - G4 @ UP - G[:, 4:5] * prob.cart
@@ -280,11 +281,11 @@ def _composite_loss(prob: _Problem, weight_vars, bias_vars, raw_vars):
             g_G[:, 4:5] = (neg * prob.cart).sum(axis=1, keepdims=True)
             g_U += (G4.T @ neg) * peak
             g_Udot = (g_r * G[:, 5:]) * peak
-            g_raw = tuple(jac @ g_G.ravel())
+            g_raw = (jac @ g_G.ravel(),)
         g_U[:, :1] += g * prob.w_ic * 2 * d_ic
         return (np.concatenate([g_U, g_Udot]), *g_raw)
 
-    total = Var(l_data + l_ode + l_ic, (net, *raw_vars) if ode else (net,),
+    total = Var(l_data + l_ode + l_ic, (net, raw) if ode else (net,),
                 back, op="loss")
     return total, (float(l_data), float(l_ode), float(l_ic))
 
@@ -318,10 +319,10 @@ def build_problem(dataset: ConcentrationSeries, spec: EstimationSpec,
     jac_lo, jac_hi = (_complex_step(spec, end)[1] for end in box.T)
     return _Problem(
         cfg=net_cfg, spec=spec, horizon=float(times[-1]), times=times,
-        obs_u=obs / peak[:, None], y0_u=(obs[:, 0] / peak)[:, None],
-        cart=plasma.values, peak=peak, ode_scale=ode_scale,
-        w_data=w.data / n, w_ic=w.ic,
+        obs_u=obs / peak[:, None], cart=plasma.values, peak=peak,
+        ode_scale=ode_scale, w_data=w.data / n, w_ic=w.ic,
         w_ode=(w.ode / (n * ode_scale ** 2))[:, None],
+        lo=box[:, 0], span=box[:, 1] - box[:, 0],
         dG_dv=jac_lo if jac_lo.tobytes() == jac_hi.tobytes() else None)
 
 
@@ -431,16 +432,6 @@ def lbfgs_refine(loss_and_grad, x0: np.ndarray, max_iters: int,
 _DIVERGENCE_FACTOR = 1e3
 
 
-def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of the flat vector ``flat`` in the given shapes."""
-    out, i = [], 0
-    for shape in shapes:
-        n = math.prod(shape)
-        out.append(flat[i:i + n].reshape(shape))
-        i += n
-    return out
-
-
 def train(dataset: ConcentrationSeries, spec: EstimationSpec,
           net_cfg: nn.NetworkConfig, train_cfg: TrainConfig):
     """Adam on the composite loss, then optional L-BFGS refinement, both on
@@ -455,11 +446,8 @@ def train(dataset: ConcentrationSeries, spec: EstimationSpec,
     artifacts; the caller times the run.
     """
     prob = build_problem(dataset, spec, net_cfg, train_cfg)
-    net = nn.init_network(net_cfg)
-    arrays = net.parameter_arrays()
-    theta = np.concatenate(arrays + [[p.raw for p in spec.free]], axis=None)
-    shapes = [a.shape for a in arrays] + [()] * len(spec.free)
-    n_w, n_wb = len(net.weights), len(arrays)
+    theta = np.concatenate(nn.init_network(net_cfg).parameter_arrays()
+                           + [[p.raw for p in spec.free]], axis=None)
     raw_at = theta.size - len(spec.free)  # where the raw tail starts
     base_iter = train_cfg.iterations
     done = 0  # optimizer iterations completed, Adam's then L-BFGS's
@@ -468,16 +456,14 @@ def train(dataset: ConcentrationSeries, spec: EstimationSpec,
 
     def evaluate(x):
         """The loss graph at the flat point x: (total, components, leaves)."""
-        leaves = [Var(a, op=f"param{i}") for i, a in enumerate(_views(x, shapes))]
-        total, comp = _composite_loss(prob, leaves[:n_w], leaves[n_w:n_wb],
-                                      leaves[n_wb:])
-        return total, comp, leaves
+        leaves = Var(x[:raw_at]), Var(x[raw_at:])
+        return (*_composite_loss(prob, *leaves), leaves)
 
     def gradient(total, leaves) -> np.ndarray:
-        return np.concatenate(grad(total, leaves), axis=None)
+        return np.concatenate(grad(total, leaves))
 
     def log(iteration, comp, x):
-        values = _sigmoid_bound(spec.free, x[raw_at:])[0].tolist()
+        values = _sigmoid_bound(prob.lo, prob.span, x[raw_at:])[0].tolist()
         artifacts.log(iteration, *comp, sum(comp), values)
 
     def loss_and_grad(x):
@@ -522,9 +508,8 @@ def train(dataset: ConcentrationSeries, spec: EstimationSpec,
         except NonFiniteGradient as err:
             raise TrainingDiverged(done, artifacts, str(err)) from err
 
-    params = _views(theta, shapes)
     final_net = nn.fold_scales(
-        nn.Network(net_cfg, params[:n_w], params[n_w:n_wb]),
+        nn.Network(net_cfg, *nn.layer_views(net_cfg, theta[:raw_at])),
         prob.horizon, prob.peak)
     final_spec = replace(spec, free=[replace(p, raw=float(r))
                                      for p, r in zip(spec.free, theta[raw_at:])])

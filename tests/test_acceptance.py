@@ -92,39 +92,38 @@ def test_criterion_2_gradient_correctness():
                                activation=act, seed=int(rng.integers(1000)))
         prob = build_problem(ds, spec, cfg, TrainConfig())
         net = nn.init_network(cfg)
-        arrays = net.parameter_arrays() + \
-            [np.asarray(rng.normal(0, 0.5)) for _ in spec.free]
+        theta = np.concatenate(net.parameter_arrays() +
+                               [[rng.normal(0, 0.5) for _ in spec.free]],
+                               axis=None)
+        raw_at = theta.size - len(spec.free)
 
-        def loss_of(arrs):
-            leaves = [Var(a) for a in arrs]
-            n_w = len(net.weights)
-            n_wb = 2 * n_w
-            total, _ = _composite_loss(prob, leaves[:n_w], leaves[n_w:n_wb],
-                                       leaves[n_wb:])
+        def loss_of(x):
+            leaves = Var(x[:raw_at]), Var(x[raw_at:])
+            total, _ = _composite_loss(prob, *leaves)
             return total, leaves
 
-        total, leaves = loss_of(arrays)
-        gs = grad(total, leaves)
+        total, leaves = loss_of(theta)
+        g = np.concatenate(grad(total, leaves))
 
-        # every raw parameter plus five random weight coordinates
-        coords = [(len(arrays) - 1 - i, ()) for i in range(len(spec.free))]
+        # every raw parameter plus five random weight coordinates, as
+        # positions in theta: the layer views of an index vector
+        coords = [theta.size - 1 - i for i in range(len(spec.free))]
+        weights, _ = nn.layer_views(cfg, np.arange(raw_at))
         for _ in range(5):
-            ai = int(rng.integers(len(net.weights)))
-            W = arrays[ai]
-            coords.append((ai, tuple(int(rng.integers(s)) for s in W.shape)))
-        for ai, idx in coords:
+            W = weights[int(rng.integers(len(weights)))]
+            coords.append(int(W[tuple(int(rng.integers(s)) for s in W.shape)]))
+        for k in coords:
             # the loss is O(100); eps 1e-6 would leave ~1e-8 roundoff in
             # the central difference, swamping the smallest gradients
             eps = 1e-4
-            pert = [a.copy() for a in arrays]
-            pert[ai][idx] += eps
+            pert = theta.copy()
+            pert[k] += eps
             up, _ = loss_of(pert)
-            pert = [a.copy() for a in arrays]
-            pert[ai][idx] -= eps
+            pert = theta.copy()
+            pert[k] -= eps
             down, _ = loss_of(pert)
             fd = (up.item() - down.item()) / (2 * eps)
-            an = gs[ai][idx] if idx else float(gs[ai])
-            rel = abs(an - fd) / max(abs(fd), 1e-8)
+            rel = abs(g[k] - fd) / max(abs(fd), 1e-8)
             worst = max(worst, rel)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-4 and elapsed < 60.0

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -401,6 +402,34 @@ class TestSweep:
                            for row in rows])
         assert len(losses[0]) == 3 and len(losses[0][1]) == 4
         assert losses[0] == losses[1]
+
+    def test_pool_has_at_most_one_worker_per_cell(self, dataset_dir,
+                                                  tmp_path, monkeypatch):
+        # a fork pool starts all its workers at the first submit, so a
+        # --jobs above the cell count must not reach the pool; the fake
+        # pool records its size and runs the cells in this process
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers=None):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        assert main(["sweep", "--data", str(dataset_dir / "dataset.csv"),
+                     "--activations", "tanh", "--layers", "1",
+                     "--neurons", "2", "--iters", "2", "--jobs", "8",
+                     "--out", str(tmp_path)]) == 0
+        assert workers == [1]
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2
 
     def test_malformed_dataset_is_an_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

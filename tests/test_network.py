@@ -11,15 +11,15 @@ from brainpbpk.autodiff import NonFiniteGradient, Var, backward, grad
 from brainpbpk.network import (ACTIVATIONS, Network, NetworkConfig,
                                activation, fold_scales, forward,
                                forward_dual_tape, forward_with_time_derivative,
-                               init_network, load_network, save_network)
+                               init_network, layer_views, load_network,
+                               save_network)
 from brainpbpk.params import DrugParams, SystemParams
 from brainpbpk.solvers import synthesize_dataset
 
 
 def wrap(net):
-    ws = [Var(w) for w in net.weights]
-    bs = [Var(b) for b in net.biases]
-    return ws, bs
+    """The tape leaf of the network's flat parameter vector."""
+    return Var(np.concatenate(net.parameter_arrays(), axis=None))
 
 
 def split(node):
@@ -142,8 +142,7 @@ class TestForward:
                                          activation=act, seed=2))
         t = np.linspace(0, 1, 7)
         y_np, dy_np = forward_with_time_derivative(net, t)
-        ws, bs = wrap(net)
-        out = forward_dual_tape(net.config, ws, bs, t)
+        out = forward_dual_tape(net.config, wrap(net), t)
         assert np.array_equal(out.value, np.concatenate([y_np, dy_np]))
 
 
@@ -183,14 +182,15 @@ class TestTimeDerivative:
             y, dy = forward_with_time_derivative(nets, t)
             return float(np.sum(y * dy) + np.sum(dy ** 2))
 
-        ws, bs = wrap(net)
-        y, dy = split(forward_dual_tape(cfg, ws, bs, t))
+        params = wrap(net)
+        y, dy = split(forward_dual_tape(cfg, params, t))
         backward((y * dy).sum() + (dy * dy).sum())
 
         eps = 1e-6
-        for kind, leaves in (("weights", ws), ("biases", bs)):
-            for li, leaf in enumerate(leaves):
-                for idx in np.ndindex(leaf.shape):
+        for kind, grads in zip(("weights", "biases"),
+                               layer_views(cfg, params.grad)):
+            for li, g in enumerate(grads):
+                for idx in np.ndindex(g.shape):
                     pert = net.copy()
                     getattr(pert, kind)[li][idx] += eps
                     up = loss_value(pert)
@@ -198,21 +198,21 @@ class TestTimeDerivative:
                     getattr(pert, kind)[li][idx] -= eps
                     down = loss_value(pert)
                     fd = (up - down) / (2 * eps)
-                    assert leaf.grad[idx] == pytest.approx(fd, rel=1e-5,
-                                                           abs=1e-9)
+                    assert g[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
     def test_relu_subgradient_zero_at_zero(self):
         # one relu neuron, z = 3t + 0: at t = 0 it sits on the kink, where
         # f' is 0, so only t = 1 reaches the gradient and dY/dt is 0 at t = 0
         cfg = NetworkConfig(hidden_layers=1, neurons=1, activation="relu")
-        ws = [Var(np.array([[3.0]])), Var(np.full((4, 1), 2.0))]
-        bs = [Var(np.array([[0.0]])), Var(np.zeros((4, 1)))]
-        y, dy = split(forward_dual_tape(cfg, ws, bs, [0.0, 1.0]))
+        params = wrap(Network(cfg, [np.array([[3.0]]), np.full((4, 1), 2.0)],
+                              [np.array([[0.0]]), np.zeros((4, 1))]))
+        y, dy = split(forward_dual_tape(cfg, params, [0.0, 1.0]))
         assert np.array_equal(dy.value, np.tile([0.0, 6.0], (4, 1)))
         backward((y + dy).sum())
+        gws, gbs = layer_views(cfg, params.grad)
         # d/db0 = 4 rows x 2 (via Y); d/dW0 = that x t + 4 x 2 (via dY/dt)
-        assert bs[0].grad[0, 0] == 8.0
-        assert ws[0].grad[0, 0] == 16.0
+        assert gbs[0][0, 0] == 8.0
+        assert gws[0][0, 0] == 16.0
 
 
 class TestNetworkNode:
@@ -237,32 +237,51 @@ class TestNetworkNode:
             b += rng.normal(0.0, 0.3, b.shape)
         t = np.linspace(0.0, 1.0, 11)
         w = rng.uniform(0.5, 2.0, (4, t.size))
-        got, want = [], []
-        for build, out in ((lambda *a: split(forward_dual_tape(*a)), got),
-                           (oracle_dual_tape, want)):
-            ws, bs = wrap(net)
-            y, dy = build(cfg, ws, bs, t)
-            out += [y.value, dy.value]
-            out += grad(self.LOSSES[loss](w, y, dy), ws + bs)
-        assert len(got) == len(want) == 2 + 2 * (layers + 1)
-        for a, b in zip(got, want):
+        # the flat adjoint against the oracle's per-array adjoints, laid
+        # out in the network's flat order
+        params = wrap(net)
+        y, dy = split(forward_dual_tape(cfg, params, t))
+        got = [y.value, dy.value, *grad(self.LOSSES[loss](w, y, dy), [params])]
+        ws = [Var(a) for a in net.weights]
+        bs = [Var(a) for a in net.biases]
+        y, dy = oracle_dual_tape(cfg, ws, bs, t)
+        want = [y.value, dy.value, np.concatenate(
+            grad(self.LOSSES[loss](w, y, dy), ws + bs), axis=None)]
+        assert got[2].shape == (params.value.size,)
+        for a, b in zip(got, want, strict=True):
             assert np.array_equal(a, b)
 
     def test_one_node_over_the_parameters(self):
         net = init_network(NetworkConfig(hidden_layers=3, neurons=4))
-        ws, bs = wrap(net)
-        node = forward_dual_tape(net.config, ws, bs, np.linspace(0, 1, 5))
+        params = wrap(net)
+        node = forward_dual_tape(net.config, params, np.linspace(0, 1, 5))
         assert node.op == "network" and node.shape == (8, 5)
         # no adjoint goes to the input time: it is not on the tape
-        assert node.parents == tuple(ws) + tuple(bs)
+        assert node.parents == (params,)
+
+    def test_layer_views_in_parameter_order(self):
+        # the flat layout is Network.parameter_arrays, flattened in C order,
+        # and every layer array is a view of the flat vector
+        cfg = NetworkConfig(hidden_layers=3, neurons=4, seed=1)
+        net = init_network(cfg)
+        flat = np.concatenate(net.parameter_arrays(), axis=None)
+        ws, bs = layer_views(cfg, flat)
+        assert len(ws) == len(bs) == 4
+        for view, array in zip(ws + bs, net.parameter_arrays(), strict=True):
+            assert view.shape == array.shape and np.array_equal(view, array)
+            assert np.shares_memory(view, flat)
+        with pytest.raises(ValueError, match="^69 parameters for a network "
+                                             "of 68$"):
+            layer_views(cfg, np.zeros(flat.size + 1))
 
     def test_reverse_only_overflow_names_the_node(self):
         # sin keeps every forward value finite, but the adjoint of the first
         # layer's output, W1^T g_z = 1e304 * 4e5 cos(z), overflows
         cfg = NetworkConfig(hidden_layers=2, neurons=1, activation="sin")
-        ws = [Var([[1e-3]]), Var([[1e304]]), Var(np.full((4, 1), 1e5))]
-        bs = [Var([[0.3]]), Var([[0.0]]), Var(np.zeros((4, 1)))]
-        node = forward_dual_tape(cfg, ws, bs, [0.2, 0.7])
+        net = Network(cfg, [np.array([[1e-3]]), np.array([[1e304]]),
+                            np.full((4, 1), 1e5)],
+                      [np.array([[0.3]]), np.array([[0.0]]), np.zeros((4, 1))])
+        node = forward_dual_tape(cfg, wrap(net), [0.2, 0.7])
         assert np.all(np.isfinite(node.value))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteGradient) as err:

@@ -6,7 +6,7 @@ import pytest
 
 from brainpbpk import network as nn
 from brainpbpk import training
-from brainpbpk.autodiff import Var, grad
+from brainpbpk.autodiff import Var, _topological_order, grad
 from brainpbpk.dataio import linear_interp
 from brainpbpk.defit import DEConfig, fit_de
 from brainpbpk.model import influx_terms, rates, volumes
@@ -195,32 +195,33 @@ RAW_OFF_CENTRE = (0.7, -1.1, 0.9, 1.3, -0.4, 0.5)
 
 # -- the loss recorded op by op: the oracle of the one loss node -------------
 
-def _oracle_rate_node(spec, raw_vars):
-    """One tape node from the raw free parameters to G = [M | q | V] of
-    ``model.rates``, with its Jacobian from a complex-step batch at every
-    call."""
+def _oracle_rate_node(spec, raw):
+    """One tape node from the leaf ``raw`` of the raw free values to
+    G = [M | q | V] of ``model.rates``, with its Jacobian from a
+    complex-step batch at every call."""
     free, n, step = spec.free, len(spec.free), 1e-30
-    values, slopes = training._sigmoid_bound(free, [r.item() for r in raw_vars])
+    lo = np.array([p.lo for p in free])
+    values, slopes = training._sigmoid_bound(
+        lo, np.array([p.hi for p in free]) - lo, raw.value)
     batch = values + 1j * step * np.eye(1 + n, n, -1)
     M, q, V = rates(*substitute(
         spec.base_sys, spec.base_drug,
         {p.name: batch[:, i, None] for i, p in enumerate(free)}))
     G = np.concatenate([M, q[..., None], V[..., None]], axis=-1)
     jac = (G[1:].imag / step).reshape(n, 24) * slopes[:, None]
-    return Var(G[0].real, tuple(raw_vars),
-               lambda g: tuple(jac @ np.ravel(g)), op="rates")
+    return Var(G[0].real, (raw,), lambda g: (jac @ np.ravel(g),), op="rates")
 
 
-def oracle_loss(prob, weight_vars, bias_vars, raw_vars):
+def oracle_loss(prob, params, raw):
     """(total Var, component floats) of ``_composite_loss`` with every
     subtraction, square, product and sum its own tape node."""
-    out = nn.forward_dual_tape(prob.cfg, weight_vars, bias_vars, prob.times)
+    out = nn.forward_dual_tape(prob.cfg, params, prob.times)
     U, Udot = out[:4], out[4:]
     l_data = (prob.w_data * (U - prob.obs_u) ** 2).sum()
-    l_ic = (prob.w_ic * (U[:, :1] - prob.y0_u) ** 2).sum()
+    l_ic = (prob.w_ic * (U[:, :1] - prob.obs_u[:, :1]) ** 2).sum()
     l_ode = 0.0
     if np.any(prob.w_ode):
-        G = _oracle_rate_node(prob.spec, raw_vars)
+        G = _oracle_rate_node(prob.spec, raw)
         peak = Var(prob.peak[:, None], op="const")
         resid = (G[:, 5:] * (Udot * peak) - G[:, :4] @ (U * peak)
                  - G[:, 4:5] * prob.cart)
@@ -241,10 +242,9 @@ class TestCompositeLoss:
         tc = TrainConfig(weights=weights or LossWeights())
         prob = build_problem(ds, spec, cfg, tc)
         net = nn.init_network(cfg)
-        ws = [Var(w) for w in net.weights]
-        bs = [Var(b) for b in net.biases]
-        rs = [Var(np.asarray(r)) for r in raw or [0.0] * len(spec.free)]
-        return prob, net, spec, ds, ws, bs, rs
+        params = Var(np.concatenate(net.parameter_arrays(), axis=None))
+        raw_leaf = Var(np.array(raw or [0.0] * len(spec.free)))
+        return prob, net, spec, ds, params, raw_leaf
 
     @staticmethod
     def references(prob, net, spec, ds, w):
@@ -261,32 +261,38 @@ class TestCompositeLoss:
                 ic_loss(pred[:, 0], obs[:, 0], w_ic, prob.peak))
 
     def test_total_is_sum_of_components(self):
-        prob, _, _, _, ws, bs, rs = self.build()
-        total, (ld, lo, li) = _composite_loss(prob, ws, bs, rs)
+        prob, _, _, _, params, raw = self.build()
+        total, (ld, lo, li) = _composite_loss(prob, params, raw)
         assert total.item() == pytest.approx(ld + lo + li, rel=1e-12)
 
     def test_components_match_numpy_references(self):
         for free_names in FREE_SETS:
-            prob, net, spec, ds, ws, bs, rs = self.build(free_names=free_names)
-            _, comp = _composite_loss(prob, ws, bs, rs)
+            prob, net, spec, ds, params, raw = self.build(free_names=free_names)
+            _, comp = _composite_loss(prob, params, raw)
             assert comp == pytest.approx(
                 self.references(prob, net, spec, ds, LossWeights()), rel=1e-12)
 
     def test_mixed_weights_and_exact_zeros(self):
-        # the initial (IC) or all (data) observations reach only the term
-        # whose weight is zero, so moving them changes nothing
-        for w, moved in ((LossWeights(ic=0.0, ode=0.5, data=1.5), "y0_u"),
-                         (LossWeights(ic=2.0, ode=0.5, data=0.0), "obs_u")):
-            prob, net, spec, ds, ws, bs, rs = self.build(weights=w)
-            _, comp = _composite_loss(prob, ws, bs, rs)
+        # the t = 0 observations (read by the IC and data terms) with
+        # w_ic = 0, and the later ones (read by the data term only) with
+        # w_data = 0: moving them moves the data term if its weight is not
+        # zero, and nothing else
+        for w, moved in ((LossWeights(ic=0.0, ode=0.5, data=1.5), 0),
+                         (LossWeights(ic=2.0, ode=0.5, data=0.0),
+                          slice(1, None))):
+            prob, net, spec, ds, params, raw = self.build(weights=w)
+            _, comp = _composite_loss(prob, params, raw)
             assert comp == pytest.approx(
                 self.references(prob, net, spec, ds, w), rel=1e-12)
-            shifted = dataclasses.replace(
-                prob, **{moved: getattr(prob, moved) + 1.0})
-            assert _composite_loss(shifted, ws, bs, rs)[1] == comp
+            obs_u = prob.obs_u.copy()
+            obs_u[:, moved] += 1.0
+            shifted = dataclasses.replace(prob, obs_u=obs_u)
+            got = _composite_loss(shifted, params, raw)[1]
+            assert got[1:] == comp[1:]
+            assert (got[0] == comp[0]) == (w.data == 0)
 
     def test_scales_from_data_and_bound_midpoints(self):
-        prob, _, spec, ds, _, _, _ = self.build()
+        prob, _, spec, ds, _, _ = self.build()
         assert np.array_equal(prob.peak, np.max(ds.concentrations(), axis=1))
         # ODE scale = peak x total outflow clearance, with the free
         # parameters at their bound midpoints (fubb enters brain blood's)
@@ -328,24 +334,23 @@ class TestCompositeLoss:
         # Jacobian moves with raw: it is checked away from raw = 0 too
         for free_names, raw in ((FREE_SETS[0], None), (FREE_SETS[1], None),
                                 (FREE_SETS[1], RAW_OFF_CENTRE)):
-            prob, _, _, _, ws, bs, rs = self.build(n=8, free_names=free_names,
-                                                   raw=raw)
-            total, _ = _composite_loss(prob, ws, bs, rs)
-            gs = grad(total, ws + bs + rs)
+            prob, _, _, _, params, raw_leaf = self.build(
+                n=8, free_names=free_names, raw=raw)
+            total, _ = _composite_loss(prob, params, raw_leaf)
+            g_raw = grad(total, [params, raw_leaf])[1]
 
             def value(raw_shift, which):
-                rs2 = [Var(r.value + (raw_shift if i == which else 0.0))
-                       for i, r in enumerate(rs)]
-                t2, _ = _composite_loss(prob, [Var(w.value) for w in ws],
-                                        [Var(b.value) for b in bs], rs2)
+                shifted = raw_leaf.value.copy()
+                shifted[which] += raw_shift
+                t2, _ = _composite_loss(prob, Var(params.value), Var(shifted))
                 return t2.item()
 
             eps = 1e-6
-            for i in range(len(rs)):
+            for i in range(g_raw.size):
                 fd = (value(eps, i) - value(-eps, i)) / (2 * eps)
                 # central differences lose accuracy when the component is
                 # tiny relative to the total loss, hence the absolute floor
-                assert gs[len(ws) + len(bs) + i] == \
+                assert g_raw[i] == \
                     pytest.approx(fd, rel=1e-4, abs=1e-6), (free_names, raw, i)
 
     @pytest.mark.parametrize("raw", [None, RAW_OFF_CENTRE],
@@ -359,25 +364,42 @@ class TestCompositeLoss:
                                            weights, raw):
         got, want = [], []
         for loss, out in ((_composite_loss, got), (oracle_loss, want)):
-            prob, _, _, _, ws, bs, rs = self.build(
+            prob, _, _, _, params, raw_leaf = self.build(
                 weights=weights, free_names=FREE_SETS[free_set],
                 activation=activation, raw=raw)
             # with zero biases U(0) is the observed 0 and the IC term sends
             # no adjoint; these make the order of the sums show in the bits
             rng = np.random.default_rng(7)
-            for b in bs:
-                b.value += rng.normal(0.0, 0.3, b.shape)
-            total, comp = loss(prob, ws, bs, rs)
-            out += [total.value, *comp, *grad(total, ws + bs + rs)]
-        assert len(got) == len(want) == 4 + 6 + 6
+            for b in nn.layer_views(prob.cfg, params.value)[1]:
+                b += rng.normal(0.0, 0.3, b.shape)
+            total, comp = loss(prob, params, raw_leaf)
+            out += [total.value, *comp, *grad(total, [params, raw_leaf])]
+        assert len(got) == len(want) == 4 + 2
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
     def test_one_node_over_the_network_and_raw_values(self):
-        prob, _, _, _, ws, bs, rs = self.build()
-        node, _ = _composite_loss(prob, ws, bs, rs)
+        prob, _, _, _, params, raw = self.build()
+        node, _ = _composite_loss(prob, params, raw)
         assert node.op == "loss" and node.parents[0].op == "network"
-        assert node.parents[1:] == tuple(rs)
+        assert node.parents[0].parents == (params,)
+        assert node.parents[1:] == (raw,)
+
+    @pytest.mark.parametrize("ode", [True, False], ids=["default", "ode0"])
+    def test_graph_is_two_leaves_and_two_nodes(self, ode):
+        # the parameter leaf, the raw leaf, the network and the loss; with
+        # no ODE term the raw leaf is off the graph and its gradient is 0
+        weights = LossWeights() if ode else LossWeights(ode=0.0)
+        prob, _, _, _, params, raw = self.build(weights=weights)
+        total, _ = _composite_loss(prob, params, raw)
+        nodes = _topological_order(total)
+        assert len(nodes) == 3 + ode
+        assert sorted(n.op for n in nodes) == sorted(
+            ["leaf", "network", "loss"] + ["leaf"] * ode)
+        assert any(n is raw for n in nodes) == ode
+        g_params, g_raw = grad(total, [params, raw])
+        assert g_params.shape == params.shape and np.any(g_params)
+        assert g_raw.shape == (6,) and np.any(g_raw) == ode
 
     def test_rate_jacobian_kept_only_when_constant(self):
         # every rate term of the default set is linear in its free values;
@@ -388,8 +410,8 @@ class TestCompositeLoss:
 
     def test_zero_ode_weight_skips_residual(self):
         w = LossWeights(ode=0.0)
-        prob, _, _, _, ws, bs, rs = self.build(weights=w)
-        _, (ld, lo, li) = _composite_loss(prob, ws, bs, rs)
+        prob, _, _, _, params, raw = self.build(weights=w)
+        _, (ld, lo, li) = _composite_loss(prob, params, raw)
         assert lo == 0.0 and ld > 0.0
 
 
@@ -510,6 +532,21 @@ class TestTrain:
                                   + [b.ravel() for b in net.biases]
                                   + [[p.raw for p in spec.free]])
         assert np.array_equal(captured[0], expected)
+
+    def test_two_tape_leaves_per_evaluation(self, monkeypatch):
+        # every gradient train takes, Adam's and L-BFGS's, is over two
+        # leaves (the network's flat parameters and the raw values) of a
+        # four-node graph
+        seen = []
+
+        def recording(loss, leaves):
+            seen.append((len(leaves), len(_topological_order(loss))))
+            return grad(loss, leaves)
+        monkeypatch.setattr(training, "grad", recording)
+        train(small_dataset(10), default_estimation_spec(),
+              nn.NetworkConfig(hidden_layers=2, neurons=3),
+              TrainConfig(iterations=3, lbfgs_iters=2))
+        assert len(seen) >= 6 and set(seen) == {(2, 4)}
 
     @pytest.mark.parametrize("lr", [1e30, 1e200])
     def test_huge_step_ends_as_divergence(self, lr):
