@@ -13,11 +13,8 @@ nodes are checked bit for bit.
 Adjoints are allocated lazily: a node's ``.grad`` is None until its first
 contribution arrives, which becomes the adjoint as is (later ones are
 added out of place), and a node that never receives one is skipped. The
-sweep does not test edges for NaN/Inf. Every backward closure is linear in
-its adjoint, so a non-finite adjoint reaches a parentless node; finiteness
-is checked once, on the adjoints of the parentless nodes, and only if that
-check fails is the sweep rerun with every edge checked, to name the node
-that produced the first non-finite adjoint (``NonFiniteGradient.op``).
+one sweep checks every adjoint it updates and stops at the first NaN/Inf,
+naming the node whose backward pushed it (``NonFiniteGradient.op``).
 
 The tape has no elementwise functions. A network's Y and dY/dt come from
 one node that ``network.forward_dual_tape`` records for the whole dual
@@ -166,9 +163,16 @@ def _topological_order(loss: Var) -> list[Var]:
     return order
 
 
-def _sweep(loss: Var, order: list[Var], checked: bool) -> None:
-    """Reset the adjoints of ``order`` and push the loss's back through it.
-    ``checked`` tests every edge and raises at the first non-finite one."""
+def backward(loss: Var) -> None:
+    """Reverse-topological sweep from a scalar loss, populating .grad on
+    every reachable node. Raises NonFiniteGradient at the first NaN/Inf
+    adjoint, a sum of finite contributions that overflows included,
+    naming the node whose backward pushed it."""
+    if loss.value.size != 1:
+        raise ValueError("backward requires a scalar loss")
+    if not np.isfinite(loss.value):
+        raise NonFiniteGradient(loss.op)
+    order = _topological_order(loss)
     for node in order:
         node.grad = None
     loss.grad = np.ones_like(loss.value)
@@ -177,26 +181,11 @@ def _sweep(loss: Var, order: list[Var], checked: bool) -> None:
         if g is None or node._backward is None:
             continue
         for parent, pg in zip(node.parents, node._backward(g)):
-            if checked and not np.all(np.isfinite(pg)):
+            if parent.grad is not None:
+                pg = parent.grad + pg
+            if not np.isfinite(pg).all():
                 raise NonFiniteGradient(node.op)
-            parent.grad = pg if parent.grad is None else parent.grad + pg
-
-
-def backward(loss: Var) -> None:
-    """Reverse-topological sweep from a scalar loss, populating .grad on
-    every reachable node. Raises NonFiniteGradient on NaN/Inf adjoints,
-    naming the first node (in sweep order) whose backward produced one."""
-    if loss.value.size != 1:
-        raise ValueError("backward requires a scalar loss")
-    if not np.isfinite(loss.value):
-        raise NonFiniteGradient(loss.op)
-    order = _topological_order(loss)
-    _sweep(loss, order, checked=False)
-    # a non-finite adjoint propagates (every backward is linear in its
-    # adjoint), so it reaches some parentless node
-    if not all(np.isfinite(n.grad).all() for n in order
-               if not n.parents and n.grad is not None):
-        _sweep(loss, order, checked=True)
+            parent.grad = pg
 
 
 def grad(loss: Var, leaves) -> list[np.ndarray]:

@@ -259,7 +259,7 @@ def cmd_fit_de(args) -> int:
                [[n, v, errors[n], result.objective if i == 0 else None]
                 for i, (n, v) in enumerate(values.items())])
 
-    sys_c, drug_c = substitute(spec.base_sys, spec.base_drug, values)
+    sys_c, drug_c = substitute(values)
     try:
         pred = solve(sys_c, drug_c, dataset.plasma_profile(),
                      ModelVariant.PAPER_LITERAL, InitialState(),

@@ -83,7 +83,7 @@ def population_sse(population, spec: EstimationSpec,
     # rows out of range or with tiny volumes may divide by zero or
     # overflow; they score +inf below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        M, q, V = rates(*substitute(spec.base_sys, spec.base_drug, columns))
+        M, q, V = rates(*substitute(columns))
         A = np.broadcast_to(M / V[..., None], (n, 4, 4))
         f = np.broadcast_to(q / V, (n, 4))
     valid &= np.isfinite(A).all(axis=(1, 2)) & np.isfinite(f).all(axis=1)

@@ -227,7 +227,14 @@ def load_network(path) -> Network:
             raise ValueError(f"{path}: sin frequency omega {omega!r} is not 1")
         cfg = NetworkConfig(**{k: v for k, v in fields.items()
                                if k not in ("input_dim", "output_dim")})
-        n_layers = cfg.hidden_layers + 1
-        weights = [data[f"W{i}"] for i in range(n_layers)]
-        biases = [data[f"b{i}"] for i in range(n_layers)]
+        weights, biases = layer_views(cfg)
+        keys = [f"{k}{i}" for k in "Wb" for i in range(len(weights))]
+        for key, view in zip(keys, weights + biases):
+            if key not in data:
+                raise ValueError(f"{path}: no array {key}")
+            array = data[key]
+            if array.shape != view.shape:
+                raise ValueError(f"{path}: {key} has shape {array.shape}, "
+                                 f"not {view.shape}")
+            view[...] = array
     return Network(cfg, weights, biases)

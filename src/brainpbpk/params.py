@@ -108,20 +108,27 @@ DRUG_PARAM_NAMES = tuple(f.name for f in dataclasses.fields(DrugParams))
 ALL_PARAM_NAMES = SYSTEM_PARAM_NAMES + DRUG_PARAM_NAMES
 
 
+# the reference sets: every parameter that is not substituted keeps its value
+_REFERENCE = (SystemParams(), DrugParams())
+
+
 def reference_value(name: str) -> float:
     """Reference (default) value of any of the 25 model parameters."""
+    sys, drug = _REFERENCE
     if name in SYSTEM_PARAM_NAMES:
-        return getattr(SystemParams(), name)
+        return getattr(sys, name)
     if name in DRUG_PARAM_NAMES:
-        return getattr(DrugParams(), name)
+        return getattr(drug, name)
     raise KeyError(f"unknown model parameter: {name}")
 
 
-def substitute(sys: SystemParams, drug: DrugParams, values: dict):
-    """Return copies of (sys, drug) with the named fields replaced.
+def substitute(values: dict):
+    """(SystemParams, DrugParams) at the reference values, with the fields
+    named in ``values`` replaced.
 
     Replacement values may be plain floats or arrays.
     """
+    sys, drug = _REFERENCE
     sys_over = {k: v for k, v in values.items() if k in SYSTEM_PARAM_NAMES}
     drug_over = {k: v for k, v in values.items() if k in DRUG_PARAM_NAMES}
     unknown = set(values) - set(sys_over) - set(drug_over)

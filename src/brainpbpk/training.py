@@ -60,8 +60,7 @@ from . import network as nn
 from .autodiff import NonFiniteGradient, Var, grad
 from .dataio import ConcentrationSeries, RunArtifacts
 from .model import rates
-from .params import (ALL_PARAM_NAMES, DrugParams, SystemParams,
-                     reference_value, substitute)
+from .params import ALL_PARAM_NAMES, reference_value, substitute
 
 
 class TrainingDiverged(Exception):
@@ -102,11 +101,10 @@ def constrain(p: BoundedParam) -> float:
 
 @dataclass
 class EstimationSpec:
-    """Free parameters plus the fixed values for everything else."""
+    """The free parameters; every other parameter keeps its reference
+    value (``params.substitute``)."""
 
     free: list[BoundedParam]
-    base_sys: SystemParams = field(default_factory=SystemParams)
-    base_drug: DrugParams = field(default_factory=DrugParams)
 
     def __post_init__(self):
         names = [p.name for p in self.free]
@@ -129,8 +127,7 @@ class EstimationSpec:
         """Raise ValueError unless every box [lo, hi] is in its parameter's
         valid range."""
         for end in ("lo", "hi"):
-            substitute(self.base_sys, self.base_drug,
-                       {p.name: getattr(p, end) for p in self.free})
+            substitute({p.name: getattr(p, end) for p in self.free})
 
 
 DEFAULT_FREE = ("Vbb", "Vbm", "Vccsf", "Vscsf", "fubb", "lam_ccsf")
@@ -215,8 +212,7 @@ def _rates_at(spec: EstimationSpec, columns) -> np.ndarray:
     forcing coefficients q and the volumes V, so that
     V * dC/dt = M C + q Cart. Array columns skip the range checks of
     ``substitute``, as the sigmoid bound keeps training inside the box."""
-    M, q, V = rates(*substitute(spec.base_sys, spec.base_drug,
-                                dict(zip(spec.names, columns))))
+    M, q, V = rates(*substitute(dict(zip(spec.names, columns))))
     return np.concatenate([M, q[..., None], V[..., None]], axis=-1)
 
 
@@ -311,7 +307,7 @@ def build_problem(dataset: ConcentrationSeries, spec: EstimationSpec,
     obs = dataset.concentrations()
     peak = _positive_or_one(np.max(np.abs(obs), axis=1))
     mid = {p.name: 0.5 * (p.lo + p.hi) for p in spec.free}
-    M, _, _ = rates(*substitute(spec.base_sys, spec.base_drug, mid))
+    M, _, _ = rates(*substitute(mid))
     outflow = -np.diag(M)
     ode_scale = peak * _positive_or_one(outflow)
     w, n = train_cfg.weights, len(times)
@@ -330,7 +326,8 @@ def build_problem(dataset: ConcentrationSeries, spec: EstimationSpec,
 
 class AdamState:
     """Standard bias-corrected Adam with the usual constants, on one flat
-    parameter vector that ``step`` updates in place."""
+    parameter vector that ``step`` updates in place. The gradient comes
+    from ``autodiff.grad``, whose sweep has checked that it is finite."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -341,8 +338,6 @@ class AdamState:
 
     def step(self, theta: np.ndarray, g: np.ndarray, lr: float) -> None:
         self.t += 1
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient("adam-step")
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         self.m *= self.beta1

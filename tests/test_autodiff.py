@@ -128,6 +128,28 @@ class TestBackwardSweep:
             backward((leaf ** 0.5).sum())
         assert err.value.op == "pow"
 
+    def test_nonfinite_adjoint_raised_in_one_sweep(self):
+        # the node's backward runs once: no second sweep to name the node
+        leaf = Var(np.array([1.0]))
+        calls = []
+
+        def back(g):
+            calls.append(g)
+            return (np.array([np.inf]),)
+        node = Var(leaf.value, (leaf,), back, op="blow-up")
+        with pytest.raises(NonFiniteGradient) as err:
+            backward(node.sum())
+        assert err.value.op == "blow-up" and len(calls) == 1
+
+    def test_overflowing_sum_of_adjoints_named(self):
+        # each of the two contributions to the leaf's adjoint is 1e308 and
+        # finite; their sum, and so the gradient, is not
+        leaf = Var(np.array([0.0]))
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteGradient) as err:
+            grad((leaf * 1e308).sum() + (leaf * 1e308).sum(), [leaf])
+        assert err.value.op == "mul"
+
 
 @given(st.integers(0, 2**31))
 @settings(max_examples=20, deadline=None)

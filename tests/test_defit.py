@@ -249,7 +249,7 @@ class TestPopulationSse:
     @staticmethod
     def raises(name, value):
         try:
-            substitute(SYS, DRUG, {name: value})
+            substitute({name: value})
         except ValueError:
             return True
         return False
@@ -288,7 +288,7 @@ class TestPopulationSse:
         cfg = SolveConfig(method=Method.DOPRI45, rtol=1e-10, atol=1e-14,
                           grid=ds.times)
         for row, score in zip(pop, population_sse(pop, spec, ds)):
-            sys, drug = substitute(SYS, DRUG, dict(zip(spec.names, row)))
+            sys, drug = substitute(dict(zip(spec.names, row)))
             pred = solve(sys, drug, ds.plasma_profile(),
                          ModelVariant.PAPER_LITERAL, InitialState(), cfg)
             want = np.sum((pred.concentrations() - ds.concentrations()) ** 2)

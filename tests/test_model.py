@@ -105,8 +105,8 @@ def test_terms_match_matrix_form_randomized():
     oracle = np.array([assemble_matrix(s, d) for s, d in draws])
     forcing = np.array([[s.Qbrain / s.Vbb, 0.0, 0.0, 0.0] for s, _ in draws])
     for step in (0.0, 1e-30j):
-        M, q, V = rates(*substitute(SystemParams(), DrugParams(),
-                                    {n: c + step for n, c in columns.items()}))
+        M, q, V = rates(*substitute({n: c + step
+                                     for n, c in columns.items()}))
         assert M.shape == (1000, 4, 4) and q.shape == V.shape == (1000, 4)
         M, q, V = M.real, q.real, V.real
         A = M / V[..., None]

@@ -379,3 +379,23 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
                                              "sin frequency omega 2.0"):
             load_network(path)
+
+    def test_wrong_shape_names_the_file_and_array(self, tmp_path):
+        net = init_network(NetworkConfig(hidden_layers=2, neurons=5))
+        net.weights[1] = np.zeros((5, 4))
+        path = tmp_path / "shape.npz"
+        save_network(net, path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: W1 "
+                                             r"has shape \(5, 4\), not "
+                                             r"\(5, 5\)$"):
+            load_network(path)
+
+    def test_missing_array_names_the_file_and_array(self, tmp_path):
+        net = init_network(NetworkConfig(hidden_layers=2, neurons=5))
+        path = tmp_path / "partial.npz"
+        arrays = {f"W{i}": w for i, w in enumerate(net.weights)}
+        arrays.update({f"b{i}": b for i, b in enumerate(net.biases[:2])})
+        np.savez(path, config=json.dumps(asdict(net.config)), **arrays)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: no array b2$"):
+            load_network(path)

@@ -66,11 +66,11 @@ def test_reference_value_covers_all_names():
 
 
 def test_substitute_routes_to_correct_dataclass():
-    s, d = substitute(SystemParams(), DrugParams(), {"Vbb": 0.07, "fubb": 0.2})
+    s, d = substitute({"Vbb": 0.07, "fubb": 0.2})
     assert s.Vbb == 0.07 and d.fubb == 0.2
     assert s.Vbm == SystemParams().Vbm
     with pytest.raises(KeyError):
-        substitute(SystemParams(), DrugParams(), {"bogus": 1.0})
+        substitute({"bogus": 1.0})
 
 
 def test_params_frozen():
