@@ -34,7 +34,7 @@ drops); keys ``W0..Wk`` / ``b0..bk`` hold the layer arrays.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
 
 import numpy as np
@@ -221,12 +221,17 @@ def save_network(net: Network, path) -> None:
 
 def load_network(path) -> Network:
     with np.load(path, allow_pickle=False) as data:
-        fields = json.loads(str(data["config"]))
-        omega = fields.pop("omega", 1.0)
+        if "config" not in data:
+            raise ValueError(f"{path}: no config")
+        config = {k: v for k, v in json.loads(str(data["config"])).items()
+                  if k not in ("input_dim", "output_dim")}
+        omega = config.pop("omega", 1.0)
         if omega != 1.0:
             raise ValueError(f"{path}: sin frequency omega {omega!r} is not 1")
-        cfg = NetworkConfig(**{k: v for k, v in fields.items()
-                               if k not in ("input_dim", "output_dim")})
+        unknown = sorted(set(config) - {f.name for f in fields(NetworkConfig)})
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {unknown}")
+        cfg = NetworkConfig(**config)
         weights, biases = layer_views(cfg)
         keys = [f"{k}{i}" for k in "Wb" for i in range(len(weights))]
         for key, view in zip(keys, weights + biases):

@@ -44,9 +44,13 @@ reverse pass is written out in the order a tape of one node per operation
 would take, so every gradient keeps its bits. G = [M | q | V] comes from
 ``model.rates`` with its exact Jacobian dG/dv. ``build_problem`` takes
 dG/dv by complex step at two corners of the box: when they agree, G is
-affine in the free values (true of the default set) and each evaluation
-makes one real ``rates`` call; otherwise every evaluation takes G and dG/dv
-from one complex-step batch. The chain through the sigmoid bound is applied
+affine in the free values v (true of the default set), so it keeps G at
+the ``lo`` corner as well, and each evaluation forms
+
+    G = G(lo) + sum_i (v_i - lo_i) dG/dv_i
+
+with no ``rates`` call; otherwise every evaluation takes G and dG/dv from
+one complex-step batch. The chain through the sigmoid bound is applied
 analytically.
 """
 from __future__ import annotations
@@ -183,8 +187,9 @@ class _Problem:
     divided by ``peak``. ``w_data`` = w_data / N and ``w_ic`` = w_ic are
     the weights of the data and IC terms, and ``w_ode`` is the (4, 1)
     column w_ode / (N * ode_scale^2). The boxes are [lo, lo + span].
-    ``dG_dv`` is the (n, 24) Jacobian of ``_rates_at`` in the free values
-    when it is constant, else None."""
+    When G of ``_rates_at`` is affine in the free values, ``G_lo`` is G at
+    ``lo``, flattened to (24,), and ``dG_dv`` its constant (n, 24)
+    Jacobian; otherwise both are None."""
 
     cfg: nn.NetworkConfig
     spec: EstimationSpec
@@ -199,6 +204,7 @@ class _Problem:
     w_ode: np.ndarray
     lo: np.ndarray
     span: np.ndarray
+    G_lo: np.ndarray | None
     dG_dv: np.ndarray | None
 
 
@@ -232,13 +238,17 @@ def _complex_step(spec: EstimationSpec, values: np.ndarray):
 def _rate_terms(prob: _Problem, raw: np.ndarray):
     """(G, dG/draw) at the raw free values ``raw``: the chain through the
     sigmoid bound is applied to dG/dv analytically. A free set whose G is
-    affine in the values (``prob.dG_dv`` set) needs one real ``rates``
-    call; any other takes the complex-step batch."""
+    affine in the values (``prob.dG_dv`` set) takes G from ``prob.G_lo``
+    and the offsets of the values from ``lo``, as a product summed over
+    the free axis (elementwise, so no BLAS build changes its bits); any
+    other takes the complex-step batch."""
     values, slopes = _sigmoid_bound(prob.lo, prob.span, raw)
     if prob.dG_dv is None:
         G, dG_dv = _complex_step(prob.spec, values)
     else:
-        G, dG_dv = _rates_at(prob.spec, values[:, None]), prob.dG_dv
+        dG_dv = prob.dG_dv
+        G = prob.G_lo + ((values - prob.lo)[:, None] * dG_dv).sum(axis=0)
+        G = G.reshape(4, 6)
     return G, dG_dv * slopes[:, None]
 
 
@@ -299,8 +309,8 @@ def build_problem(dataset: ConcentrationSeries, spec: EstimationSpec,
     sigmoid bound would otherwise let training reach.
 
     dG/dv is taken at the all-lo and the all-hi corner of the box; when the
-    two agree bit for bit, G is affine in the free values and the Jacobian
-    is kept for every step."""
+    two agree bit for bit, G is affine in the free values, and the
+    Jacobian and G at the all-lo corner are kept for every step."""
     spec.check_bounds()
     plasma = dataset.plasma_profile()
     times = dataset.times
@@ -313,13 +323,15 @@ def build_problem(dataset: ConcentrationSeries, spec: EstimationSpec,
     w, n = train_cfg.weights, len(times)
     box = np.array([[p.lo, p.hi] for p in spec.free])
     jac_lo, jac_hi = (_complex_step(spec, end)[1] for end in box.T)
+    affine = jac_lo.tobytes() == jac_hi.tobytes()
     return _Problem(
         cfg=net_cfg, spec=spec, horizon=float(times[-1]), times=times,
         obs_u=obs / peak[:, None], cart=plasma.values, peak=peak,
         ode_scale=ode_scale, w_data=w.data / n, w_ic=w.ic,
         w_ode=(w.ode / (n * ode_scale ** 2))[:, None],
         lo=box[:, 0], span=box[:, 1] - box[:, 0],
-        dG_dv=jac_lo if jac_lo.tobytes() == jac_hi.tobytes() else None)
+        G_lo=_rates_at(spec, box[:, :1]).ravel() if affine else None,
+        dG_dv=jac_lo if affine else None)
 
 
 # -- optimizers --------------------------------------------------------------

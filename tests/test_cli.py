@@ -202,8 +202,8 @@ class TestTrain:
             (tmp_path / "out" / name).read_bytes()).hexdigest()
             for name in ("loss_history.csv", "trajectory.csv")}
         assert digests == {
-            "loss_history.csv": "59b9ded12b8b55487a89fd0d502fef02"
-                                "dcea47dad7234b44ccf0ea8ee009e109",
+            "loss_history.csv": "cd1932deca6142fa94bd0dacb8c491fd"
+                                "69a5a77545ac75b88f400bf93f273ec6",
             "trajectory.csv": "8b706d333617e8e494865c6d17c59f79"
                               "a8c9079dc7f626fa4ce934cd8b1f6cac"}
 

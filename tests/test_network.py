@@ -399,3 +399,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError,
                            match=f"^{re.escape(str(path))}: no array b2$"):
             load_network(path)
+
+    def test_unknown_config_key_names_the_file(self, tmp_path):
+        net = init_network(NetworkConfig(hidden_layers=1, neurons=3))
+        path = tmp_path / "dropout.npz"
+        self.save_old(net, path, dropout=0.1)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                           r"unknown config keys \['dropout'\]$"):
+            load_network(path)
+
+    def test_missing_config_names_the_file(self, tmp_path):
+        net = init_network(NetworkConfig(hidden_layers=1, neurons=3))
+        path = tmp_path / "no-config.npz"
+        np.savez(path, **{f"W{i}": w for i, w in enumerate(net.weights)})
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: no config$"):
+            load_network(path)

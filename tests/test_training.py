@@ -193,20 +193,30 @@ RAW_OFF_CENTRE = (0.7, -1.1, 0.9, 1.3, -0.4, 0.5)
 
 # -- the loss recorded op by op: the oracle of the one loss node -------------
 
-def _oracle_rate_node(spec, raw):
+def _oracle_rate_node(spec, raw, affine):
     """One tape node from the leaf ``raw`` of the raw free values to
-    G = [M | q | V] of ``model.rates``, with its Jacobian from a
-    complex-step batch at every call."""
+    G = [M | q | V] of ``model.rates``, with its Jacobian J from a
+    complex-step batch at every call. For a free set whose G is
+    ``affine`` in the values v, G is the documented
+    G(lo) + sum_i (v_i - lo_i) J_i, with G(lo) from a ``rates`` call at lo."""
     free, n, step = spec.free, len(spec.free), 1e-30
     lo = np.array([p.lo for p in free])
     values, slopes = training._sigmoid_bound(
         lo, np.array([p.hi for p in free]) - lo, raw.value)
+
+    def rate_table(columns):
+        M, q, V = rates(*substitute(
+            {p.name: columns[i] for i, p in enumerate(free)}))
+        return np.concatenate([M, q[..., None], V[..., None]], axis=-1)
+
     batch = values + 1j * step * np.eye(1 + n, n, -1)
-    M, q, V = rates(*substitute(
-        {p.name: batch[:, i, None] for i, p in enumerate(free)}))
-    G = np.concatenate([M, q[..., None], V[..., None]], axis=-1)
-    jac = (G[1:].imag / step).reshape(n, 24) * slopes[:, None]
-    return Var(G[0].real, (raw,), lambda g: (jac @ np.ravel(g),), op="rates")
+    G = rate_table(batch.T[..., None])
+    J = G[1:].imag / step
+    G = G[0].real
+    if affine:
+        G = rate_table(lo) + sum((values[i] - lo[i]) * J[i] for i in range(n))
+    jac = J.reshape(n, 24) * slopes[:, None]
+    return Var(G, (raw,), lambda g: (jac @ np.ravel(g),), op="rates")
 
 
 def oracle_loss(prob, params, raw):
@@ -218,7 +228,7 @@ def oracle_loss(prob, params, raw):
     l_ic = (prob.w_ic * (U[:, :1] - prob.obs_u[:, :1]) ** 2).sum()
     l_ode = 0.0
     if np.any(prob.w_ode):
-        G = _oracle_rate_node(prob.spec, raw)
+        G = _oracle_rate_node(prob.spec, raw, prob.dG_dv is not None)
         peak = Var(prob.peak[:, None], op="const")
         resid = (G[:, 5:] * (Udot * peak) - G[:, :4] @ (U * peak)
                  - G[:, 4:5] * prob.cart)
@@ -405,6 +415,44 @@ class TestCompositeLoss:
             prob = self.build(free_names=free_names)[0]
             assert (prob.dG_dv is not None) == constant
 
+    @pytest.mark.parametrize("free_names", [
+        DEFAULT_FREE, ("Vbb",), ("PSB", "PSC", "Vbb")],
+        ids=["default", "Vbb", "PSB-PSC-Vbb"])
+    def test_affine_rate_terms_match_rates(self, free_names):
+        # G from G(lo) and the kept Jacobian: exact at lo, and within
+        # rounding of a rates call at the hi corner and inside the box;
+        # (PSB + PSC) * lam_bb * fubb gives entries with two nonzero terms
+        prob = self.build(free_names=free_names)[0]
+        n = len(free_names)
+        assert prob.dG_dv is not None
+        G, _ = training._rate_terms(prob, np.full(n, -np.inf))
+        want = training._rates_at(prob.spec, prob.lo[:, None])
+        assert G.tobytes() == want.tobytes()
+        rng = np.random.default_rng(3)
+        for raw in [np.full(n, np.inf), *rng.normal(0.0, 3.0, (200, n))]:
+            G, _ = training._rate_terms(prob, raw)
+            values = training._sigmoid_bound(prob.lo, prob.span, raw)[0]
+            want = training._rates_at(prob.spec, values[:, None])
+            assert np.all(np.abs(G - want) <= 1e-15 * np.abs(want)), raw
+
+    def test_affine_loss_calls_no_rates(self, monkeypatch):
+        # the affine default set evaluates its loss and gradient without
+        # the model; the set with products calls it once per evaluation
+        problems = [self.build(free_names=f, raw=RAW_OFF_CENTRE)
+                    for f in FREE_SETS]
+        calls = []
+        for name in ("rates", "substitute"):
+            def counted(*args, _name=name, _real=getattr(training, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(training, name, counted)
+        for (prob, _, _, _, params, raw), want in zip(
+                problems, ([], ["substitute", "rates"])):
+            calls.clear()
+            total, _ = _composite_loss(prob, params, raw)
+            grad(total, [params, raw])
+            assert calls == want
+
     def test_zero_ode_weight_skips_residual(self):
         w = LossWeights(ode=0.0)
         prob, _, _, _, params, raw = self.build(weights=w)
@@ -425,6 +473,22 @@ class TestAdam:
         x = np.array([1.0])
         AdamState(x).step(x, np.array([123.0]), lr=0.01)
         assert x[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
+
+    def test_bits_of_the_one_line_update(self):
+        # thirty steps keep the bits of the textbook update, in its order
+        # of operations: theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=50)
+        ref, m, v = x.copy(), np.zeros(50), np.zeros(50)
+        state, b1, b2 = AdamState(x), AdamState.beta1, AdamState.beta2
+        for t in range(1, 31):
+            g = rng.normal(0.0, 10.0 ** rng.integers(-4, 5), 50)
+            state.step(x, g, lr=1e-3)
+            m = m * b1 + (1.0 - b1) * g
+            v = v * b2 + (1.0 - b2) * (g * g)
+            ref -= 1e-3 * (m / (1.0 - b1 ** t)) / (
+                np.sqrt(v / (1.0 - b2 ** t)) + AdamState.eps)
+        assert x.tobytes() == ref.tobytes()
 
     def test_in_place_update(self):
         # train's tape leaves are views of the vector; they must see the step
@@ -556,13 +620,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("layers, act, digest", [
         (3, "tanh",
-         "ba15da98ba8274ae70cdaa9a3451672580e089f0d6f1a85b6f40a774b4506c25"),
+         "62c642fa2014c4b6e534c1affe4718d2685a1d0ca2b67cbfa10bedf971721942"),
         (2, "relu",
-         "7d76f30e87ffdf9bad4364372a7b279d738dcb679e7a916fb757bc479b3664aa"),
+         "ec4c4f217a74aeba43d4c566872cf344b4be990c5e41ac146cc63ed1ee960deb"),
         (2, "sigmoid",
-         "9d5162b0543342e57d267d1f07faa0c7eaba1b46f4db3266e9abc2ac358b4625"),
+         "fa8eda86116d564996e0b50ab8b2e0e391fa5c502b6be8e2899f31264377456d"),
         (2, "sin",
-         "16d73d6dfd2973cd2410c22c260716bc6bd7c8f99fd5d5a6deb9b06571e07756")])
+         "eac57a90a706444827c5e2040034fcc7addfc89f1dad4f3518709f877e5b9bf6")])
     def test_training_bits(self, layers, act, digest):
         # 30 Adam + 2 L-BFGS steps on the 200-point reference set, pinned
         # to the bit: SHA-256 of the final weights and biases, the logged
