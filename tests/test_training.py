@@ -626,7 +626,8 @@ class TestTrain:
         (2, "sigmoid",
          "fa8eda86116d564996e0b50ab8b2e0e391fa5c502b6be8e2899f31264377456d"),
         (2, "sin",
-         "eac57a90a706444827c5e2040034fcc7addfc89f1dad4f3518709f877e5b9bf6")])
+         "eac57a90a706444827c5e2040034fcc7addfc89f1dad4f3518709f877e5b9bf6")],
+        ids=["3-tanh", "2-relu", "2-sigmoid", "2-sin"])
     def test_training_bits(self, layers, act, digest):
         # 30 Adam + 2 L-BFGS steps on the 200-point reference set, pinned
         # to the bit: SHA-256 of the final weights and biases, the logged
