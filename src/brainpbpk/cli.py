@@ -39,7 +39,10 @@ from .training import (DEFAULT_FREE, EstimationSpec, LossWeights, TrainConfig,
 
 def _outdir(path: str) -> Path:
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise SystemExit(f"error: --out {path}: {err.strerror}") from None
     return out
 
 

@@ -39,13 +39,16 @@ with V the volumes, U the (4, N) network output and P = diag(peak),
     R = diag(V) P dU/dt - M P U - q Cart(t)^T.
 
 The whole loss is one tape node (op ``"loss"``) whose parents are the
-network's dual-pass node (over the network's leaf) and the raw leaf; its
-reverse pass is written out in the order a tape of one node per operation
-would take, so every gradient keeps its bits. G = [M | q | V] comes from
-``model.rates`` with its exact Jacobian dG/dv. ``build_problem`` takes
-dG/dv by complex step at two corners of the box: when they agree, G is
-affine in the free values v (true of the default set), so it keeps G at
-the ``lo`` corner as well, and each evaluation forms
+network's dual-pass node (over the network's leaf) and the raw leaf, at
+every ODE weight (a zero weight makes the term and the raw adjoint zero);
+its reverse pass is written out in the order a tape of one node per
+operation would take, so every gradient keeps its bits. G = [M | q | V]
+and its exact Jacobian dG/dv come from one ``model.rates`` call on a
+complex-step batch (``_complex_step``), the trainer's only call into the
+model. ``build_problem`` takes one batch at each corner of the box: when
+their Jacobians agree, G is affine in the free values v (true of the
+default set), so it keeps G at the ``lo`` corner as well, and each
+evaluation forms
 
     G = G(lo) + sum_i (v_i - lo_i) dG/dv_i
 
@@ -187,8 +190,8 @@ class _Problem:
     divided by ``peak``. ``w_data`` = w_data / N and ``w_ic`` = w_ic are
     the weights of the data and IC terms, and ``w_ode`` is the (4, 1)
     column w_ode / (N * ode_scale^2). The boxes are [lo, lo + span].
-    When G of ``_rates_at`` is affine in the free values, ``G_lo`` is G at
-    ``lo``, flattened to (24,), and ``dG_dv`` its constant (n, 24)
+    When G of ``_complex_step`` is affine in the free values, ``G_lo`` is G
+    at ``lo``, flattened to (24,), and ``dG_dv`` its constant (n, 24)
     Jacobian; otherwise both are None."""
 
     cfg: nn.NetworkConfig
@@ -212,26 +215,24 @@ class _Problem:
 _COMPLEX_STEP = 1e-30
 
 
-def _rates_at(spec: EstimationSpec, columns) -> np.ndarray:
-    """The (..., 4, 6) array G = [M | q | V] of ``model.rates`` with free
-    parameter i set to ``columns[i]``: the amount-rate matrix M, the
-    forcing coefficients q and the volumes V, so that
-    V * dC/dt = M C + q Cart. Array columns skip the range checks of
-    ``substitute``, as the sigmoid bound keeps training inside the box."""
-    M, q, V = rates(*substitute(dict(zip(spec.names, columns))))
-    return np.concatenate([M, q[..., None], V[..., None]], axis=-1)
-
-
 def _complex_step(spec: EstimationSpec, values: np.ndarray):
-    """(G, dG/dv) at the free values ``values``: G of ``_rates_at`` and its
-    exact Jacobian, flattened to (n, 24), from one ``rates`` call on a
-    complex batch. Row 0 of the batch holds the values and row 1 + i adds
+    """(G, dG/dv) at the free values ``values``: the (4, 6) array
+    G = [M | q | V] of ``model.rates`` (the amount-rate matrix M, the
+    forcing coefficients q and the volumes V, so that
+    V * dC/dt = M C + q Cart) and its exact Jacobian, flattened to (n, 24),
+    from one ``rates`` call on a complex batch. Row 0 of the batch holds
+    the values, so G has the bits of a real ``rates`` call; row 1 + i adds
     an imaginary step to free parameter i, whose imaginary part is then the
     derivative (complex-step differentiation takes no difference, so
-    nothing cancels)."""
+    nothing cancels). A free parameter that enters no equation (QbulkCB)
+    gets a zero row. The batch skips the range checks of ``substitute``,
+    as the sigmoid bound keeps training inside the box."""
     n = len(values)
     batch = values + 1j * _COMPLEX_STEP * np.eye(1 + n, n, -1)
-    G = _rates_at(spec, batch.T[..., None])
+    M, q, V = rates(*substitute(dict(zip(spec.names, batch.T[..., None]))))
+    G = np.concatenate([M, q[..., None], V[..., None]], axis=-1)
+    # rates adds a batch axis only where some free value enters it
+    G = np.broadcast_to(G, (1 + n, 4, 6))
     return G[0].real, (G[1:].imag / _COMPLEX_STEP).reshape(n, 24)
 
 
@@ -256,43 +257,36 @@ def _composite_loss(prob: _Problem, params: Var, raw: Var):
     """The full loss in scaled coordinates (see the module docstring) as
     one tape node (op ``"loss"``) over the network node on the leaf
     ``params`` and the leaf ``raw`` of the raw values; returns (total Var,
-    component floats). The ODE residual, and with it ``raw``, is skipped
-    when the ODE weight is zero. Each term is one weighted sum over a (4, N)
-    array, with the 1/N of the means (and the ODE scales) in the weights."""
+    component floats). Each term is one weighted sum over a (4, N) array,
+    with the 1/N of the means (and the ODE scales) in the weights; a zero
+    ODE weight makes the ODE term 0 and the adjoint of ``raw`` zeros."""
     net = nn.forward_dual_tape(prob.cfg, params, prob.times)
     U, Udot = net.value[:4], net.value[4:]
     d_data = U - prob.obs_u
     d_ic = U[:, :1] - prob.obs_u[:, :1]
     l_data = (prob.w_data * d_data ** 2).sum()
     l_ic = (prob.w_ic * d_ic ** 2).sum()
-    ode = bool(np.any(prob.w_ode))
-    l_ode = 0.0
-    if ode:
-        G, jac = _rate_terms(prob, raw.value)
-        peak = prob.peak[:, None]
-        G4, UP, UdP = G[:, :4], U * peak, Udot * peak
-        resid = G[:, 5:] * UdP - G4 @ UP - G[:, 4:5] * prob.cart
-        l_ode = (prob.w_ode * resid ** 2).sum()
+    G, jac = _rate_terms(prob, raw.value)
+    peak = prob.peak[:, None]
+    G4, UP, UdP = G[:, :4], U * peak, Udot * peak
+    resid = G[:, 5:] * UdP - G4 @ UP - G[:, 4:5] * prob.cart
+    l_ode = (prob.w_ode * resid ** 2).sum()
 
     def back(g):
         # the per-op tape's order of operations, so every bit is kept
         g_U = g * prob.w_data * 2 * d_data
-        g_Udot, g_raw = np.zeros_like(g_U), ()
-        if ode:
-            g_r = g * prob.w_ode * 2 * resid
-            neg = -g_r
-            g_G = np.empty((4, 6))
-            g_G[:, 5:] = (g_r * UdP).sum(axis=1, keepdims=True)
-            g_G[:, :4] = neg @ UP.T
-            g_G[:, 4:5] = (neg * prob.cart).sum(axis=1, keepdims=True)
-            g_U += (G4.T @ neg) * peak
-            g_Udot = (g_r * G[:, 5:]) * peak
-            g_raw = (jac @ g_G.ravel(),)
+        g_r = g * prob.w_ode * 2 * resid
+        neg = -g_r
+        g_G = np.empty((4, 6))
+        g_G[:, 5:] = (g_r * UdP).sum(axis=1, keepdims=True)
+        g_G[:, :4] = neg @ UP.T
+        g_G[:, 4:5] = (neg * prob.cart).sum(axis=1, keepdims=True)
+        g_U += (G4.T @ neg) * peak
+        g_Udot = (g_r * G[:, 5:]) * peak
         g_U[:, :1] += g * prob.w_ic * 2 * d_ic
-        return (np.concatenate([g_U, g_Udot]), *g_raw)
+        return np.concatenate([g_U, g_Udot]), jac @ g_G.ravel()
 
-    total = Var(l_data + l_ode + l_ic, (net, raw) if ode else (net,),
-                back, op="loss")
+    total = Var(l_data + l_ode + l_ic, (net, raw), back, op="loss")
     return total, (float(l_data), float(l_ode), float(l_ic))
 
 
@@ -308,21 +302,22 @@ def build_problem(dataset: ConcentrationSeries, spec: EstimationSpec,
     ValueError if a free parameter's box leaves its valid range, which the
     sigmoid bound would otherwise let training reach.
 
-    dG/dv is taken at the all-lo and the all-hi corner of the box; when the
-    two agree bit for bit, G is affine in the free values, and the
-    Jacobian and G at the all-lo corner are kept for every step."""
+    Three ``_complex_step`` batches give every model term: G at the box
+    midpoint (the outflow scales), and (G, dG/dv) at the all-lo and the
+    all-hi corner. When the two Jacobians agree bit for bit, G is affine in
+    the free values, and the Jacobian and G at the all-lo corner are kept
+    for every step."""
     spec.check_bounds()
     plasma = dataset.plasma_profile()
     times = dataset.times
     obs = dataset.concentrations()
     peak = _positive_or_one(np.max(np.abs(obs), axis=1))
-    mid = {p.name: 0.5 * (p.lo + p.hi) for p in spec.free}
-    M, _, _ = rates(*substitute(mid))
-    outflow = -np.diag(M)
+    box = np.array([[p.lo, p.hi] for p in spec.free])
+    G_mid, _ = _complex_step(spec, 0.5 * (box[:, 0] + box[:, 1]))
+    outflow = -np.diag(G_mid[:, :4])
     ode_scale = peak * _positive_or_one(outflow)
     w, n = train_cfg.weights, len(times)
-    box = np.array([[p.lo, p.hi] for p in spec.free])
-    jac_lo, jac_hi = (_complex_step(spec, end)[1] for end in box.T)
+    (G_lo, jac_lo), (_, jac_hi) = (_complex_step(spec, end) for end in box.T)
     affine = jac_lo.tobytes() == jac_hi.tobytes()
     return _Problem(
         cfg=net_cfg, spec=spec, horizon=float(times[-1]), times=times,
@@ -330,7 +325,7 @@ def build_problem(dataset: ConcentrationSeries, spec: EstimationSpec,
         ode_scale=ode_scale, w_data=w.data / n, w_ic=w.ic,
         w_ode=(w.ode / (n * ode_scale ** 2))[:, None],
         lo=box[:, 0], span=box[:, 1] - box[:, 0],
-        G_lo=_rates_at(spec, box[:, :1]).ravel() if affine else None,
+        G_lo=G_lo.ravel() if affine else None,
         dG_dv=jac_lo if affine else None)
 
 

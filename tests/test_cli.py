@@ -131,6 +131,27 @@ def test_infinite_box_is_an_error(dataset_dir, tmp_path, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [*COMMANDS, "compare"])
+def test_out_naming_a_file_is_an_error(dataset_dir, tmp_path, command):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    if command == "compare":
+        summary = {"label": "x", "free": ["Vbb"], "values": {"Vbb": 1.0},
+                   "abs_errors": {"Vbb": 0.0}, "prediction": "none.csv"}
+        results = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in results:
+            path.write_text(json.dumps(summary), encoding="utf-8")
+        argv = ["compare", "--results", *map(str, results)]
+    else:
+        data = [] if command == "simulate" else \
+            ["--data", str(dataset_dir / "dataset.csv")]
+        argv = [*COMMANDS[command], *data]
+    with pytest.raises(SystemExit,
+                       match=f"^error: --out {re.escape(str(taken))}: "):
+        main([*argv, "--out", str(taken)])
+    assert taken.read_text(encoding="utf-8") == "not a directory"
+
+
 class TestSimulate:
     def test_outputs(self, dataset_dir):
         ds = read_series(dataset_dir / "dataset.csv")

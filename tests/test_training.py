@@ -10,8 +10,8 @@ from brainpbpk.autodiff import Var, _topological_order, grad
 from brainpbpk.dataio import linear_interp
 from brainpbpk.defit import DEConfig, fit_de
 from brainpbpk.model import influx_terms, rates, volumes
-from brainpbpk.params import (DrugParams, SystemParams, reference_value,
-                              substitute)
+from brainpbpk.params import (ALL_PARAM_NAMES, DrugParams, SystemParams,
+                              reference_value, substitute)
 from brainpbpk.solvers import synthesize_dataset
 from brainpbpk.training import (DEFAULT_FREE, AdamState, BoundedParam,
                                 EstimationSpec, LossWeights, TrainConfig,
@@ -239,6 +239,18 @@ def oracle_loss(prob, params, raw):
     return total, comp
 
 
+def count_model_calls(monkeypatch):
+    """A list that every ``rates`` and ``substitute`` call through the
+    names ``training`` binds appends its name to."""
+    calls = []
+    for name in ("rates", "substitute"):
+        def counted(*args, _name=name, _real=getattr(training, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(training, name, counted)
+    return calls
+
+
 class TestCompositeLoss:
     def build(self, weights=None, n=10, free_names=DEFAULT_FREE,
               activation="tanh", raw=None):
@@ -394,16 +406,16 @@ class TestCompositeLoss:
 
     @pytest.mark.parametrize("ode", [True, False], ids=["default", "ode0"])
     def test_graph_is_two_leaves_and_two_nodes(self, ode):
-        # the parameter leaf, the raw leaf, the network and the loss; with
-        # no ODE term the raw leaf is off the graph and its gradient is 0
+        # the parameter leaf, the raw leaf, the network and the loss at
+        # every ODE weight; with no ODE term the raw gradient is 0
         weights = LossWeights() if ode else LossWeights(ode=0.0)
         prob, _, _, _, params, raw = self.build(weights=weights)
         total, _ = _composite_loss(prob, params, raw)
         nodes = _topological_order(total)
-        assert len(nodes) == 3 + ode
-        assert sorted(n.op for n in nodes) == sorted(
-            ["leaf", "network", "loss"] + ["leaf"] * ode)
-        assert any(n is raw for n in nodes) == ode
+        assert len(nodes) == 4
+        assert sorted(n.op for n in nodes) == ["leaf", "leaf", "loss",
+                                               "network"]
+        assert any(n is raw for n in nodes)
         g_params, g_raw = grad(total, [params, raw])
         assert g_params.shape == params.shape and np.any(g_params)
         assert g_raw.shape == (6,) and np.any(g_raw) == ode
@@ -426,26 +438,54 @@ class TestCompositeLoss:
         n = len(free_names)
         assert prob.dG_dv is not None
         G, _ = training._rate_terms(prob, np.full(n, -np.inf))
-        want = training._rates_at(prob.spec, prob.lo[:, None])
+        want = training._complex_step(prob.spec, prob.lo)[0]
         assert G.tobytes() == want.tobytes()
         rng = np.random.default_rng(3)
         for raw in [np.full(n, np.inf), *rng.normal(0.0, 3.0, (200, n))]:
             G, _ = training._rate_terms(prob, raw)
             values = training._sigmoid_bound(prob.lo, prob.span, raw)[0]
-            want = training._rates_at(prob.spec, values[:, None])
+            want = training._complex_step(prob.spec, values)[0]
             assert np.all(np.abs(G - want) <= 1e-15 * np.abs(want)), raw
+
+    def test_complex_step_G_is_a_real_rates_call(self):
+        # row 0 of the complex batch holds the free values with no
+        # imaginary part, so G keeps every bit of a real rates call; QbulkCB
+        # alone (in no equation) and seeded free sets, at lo, hi, the
+        # midpoint and an interior point of boxes inside the valid ranges
+        names = [n for n in ALL_PARAM_NAMES if reference_value(n) != 0]
+        rng = np.random.default_rng(11)
+        sets = [("QbulkCB",)] + [
+            tuple(rng.choice(names, rng.integers(1, 8), replace=False))
+            for _ in range(50)]
+        for free in sets:
+            spec = default_estimation_spec(free, (0.5, 1.0))
+            lo, hi = (np.array([getattr(p, e) for p in spec.free])
+                      for e in ("lo", "hi"))
+            for v in (lo, hi, 0.5 * (lo + hi), lo + rng.random(lo.size)
+                      * (hi - lo)):
+                M, q, V = rates(*substitute(dict(zip(spec.names,
+                                                     v.tolist()))))
+                want = np.concatenate([M, q[:, None], V[:, None]], axis=1)
+                G, dG_dv = training._complex_step(spec, v)
+                assert G.shape == (4, 6) and dG_dv.shape == (v.size, 24)
+                assert G.tobytes() == want.tobytes(), (free, v)
+
+    def test_build_problem_model_calls(self, monkeypatch):
+        # one rates call per complex-step batch (the midpoint and the two
+        # corners), and two more substitute calls for the range checks
+        calls = count_model_calls(monkeypatch)
+        for free_names in (*FREE_SETS, ("QbulkCB",)):
+            calls.clear()
+            self.build(free_names=free_names)
+            assert calls.count("rates") == 3, free_names
+            assert calls.count("substitute") == 5, free_names
 
     def test_affine_loss_calls_no_rates(self, monkeypatch):
         # the affine default set evaluates its loss and gradient without
         # the model; the set with products calls it once per evaluation
         problems = [self.build(free_names=f, raw=RAW_OFF_CENTRE)
                     for f in FREE_SETS]
-        calls = []
-        for name in ("rates", "substitute"):
-            def counted(*args, _name=name, _real=getattr(training, name)):
-                calls.append(_name)
-                return _real(*args)
-            monkeypatch.setattr(training, name, counted)
+        calls = count_model_calls(monkeypatch)
         for (prob, _, _, _, params, raw), want in zip(
                 problems, ([], ["substitute", "rates"])):
             calls.clear()
@@ -453,7 +493,7 @@ class TestCompositeLoss:
             grad(total, [params, raw])
             assert calls == want
 
-    def test_zero_ode_weight_skips_residual(self):
+    def test_zero_ode_weight_zeroes_the_ode_term(self):
         w = LossWeights(ode=0.0)
         prob, _, _, _, params, raw = self.build(weights=w)
         _, (ld, lo, li) = _composite_loss(prob, params, raw)
@@ -644,6 +684,17 @@ class TestTrain:
         h.update(np.array(art.loss_total).tobytes())
         h.update(np.array([p.raw for p in fspec.free]).tobytes())
         assert h.hexdigest() == digest
+
+    def test_parameter_in_no_equation_trains(self):
+        # QbulkCB enters no rate term: its Jacobian row is zero, so its raw
+        # value gets no gradient and it stays at its box midpoint
+        spec = default_estimation_spec(("QbulkCB",))
+        cfg = nn.NetworkConfig(hidden_layers=1, neurons=2, seed=0)
+        tc = TrainConfig(lr=1e-3, iterations=3, lbfgs_iters=1, log_stride=1)
+        _, fspec, art = train(small_dataset(10), spec, cfg, tc)
+        p = fspec.free[0]
+        assert p.raw == 0.0 and constrain(p) == 0.5 * (p.lo + p.hi)
+        assert {row[0] for row in art.trajectory} == {constrain(p)}
 
     def test_lbfgs_stage_extends_iteration_numbers(self):
         ds = small_dataset(10)
